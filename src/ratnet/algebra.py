@@ -108,25 +108,36 @@ def normalize(rf: RationalFunction) -> RationalFunction:
     return RationalFunction(rf.numerator / b0, rf.denominator / b0, RAW)
 
 
-def safe_to_raw(rf: RationalFunction, domain=(-3.0, 3.0), samples: int = 2001) -> RationalFunction:
+def safe_to_raw(rf: RationalFunction, domain=(-3.0, 3.0)) -> RationalFunction:
     """Rewrite a safe rational in raw form on a domain where it is polynomial.
 
     Valid only when the inner sum S(x) = sum_{k>=1} b_k x^k does not change
     sign on the domain, so |S| = +-S there and Q = 1 +- S is a polynomial.
-    The sign is checked on a dense sample grid; a sign change raises.
+    S has one sign between consecutive real roots, so probing it at the
+    domain's ends and midway between neighbouring roots inside decides the
+    sign exactly.  An even-order root touches zero without crossing it and
+    is accepted.  A probe within Horner's rounding bound of zero counts as
+    zero; a sign change raises.
     """
     if rf.variant != SAFE:
         raise ValueError("safe_to_raw expects a safe-variant rational")
     b = rf.denominator
     if b.size == 0 or np.all(b == 0.0):
         return RationalFunction(rf.numerator.copy(), np.ones(1), RAW)
-    xs = np.linspace(domain[0], domain[1], samples)
-    s = polyval(b, xs) * xs
-    if np.all(s >= 0.0):
-        raw_b = np.concatenate(([1.0], b))
-    elif np.all(s <= 0.0):
-        raw_b = np.concatenate(([1.0], -b))
-    else:
+    s = np.concatenate(([0.0], b))
+    lo, hi = domain
+    roots = np.roots(s[::-1])
+    # two close real roots can come back as a complex pair; taking their
+    # real parts only adds probes
+    near_real = np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots))
+    inside = np.sort(roots.real[near_real])
+    edges = np.concatenate(([lo], inside[(inside > lo) & (inside < hi)], [hi]))
+    probes = np.concatenate(([lo, hi], (edges[:-1] + edges[1:]) / 2.0))
+    values = polyval(s, probes)
+    slack = 4.0 * s.size * np.finfo(float).eps * polyval(np.abs(s), np.abs(probes))
+    signs = np.sign(np.where(np.abs(values) <= slack, 0.0, values))
+    if signs.max() > 0.0 and signs.min() < 0.0:
         raise ValueError("inner denominator sum changes sign on the domain; "
                          "no raw form exists there")
+    raw_b = np.concatenate(([1.0], -b if signs.min() < 0.0 else b))
     return RationalFunction(rf.numerator.copy(), raw_b, RAW)

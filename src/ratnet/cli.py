@@ -26,8 +26,9 @@ from .rational import RationalFunction, eval_batch
 from .rl import (DqnConfig, GridWorld, ScoreReport, dqn_train, greedy_return,
                  optimal_return, random_return)
 
-# hardcoded defaults per subcommand; a --config JSON may override them and
-# explicit flags override both
+# the one option table: each subcommand's flags, their defaults and (by the
+# default's type, str where it is None) their argument types; a --config JSON
+# may override the defaults and explicit flags override both
 DEFAULTS = {
     "fit": {"ref": "lrelu", "m": 5, "n": 4, "lo": -3.0, "hi": 3.0,
             "points": 1000, "max_iters": 20000, "slope": 0.01, "beta": 1.0,
@@ -127,7 +128,7 @@ def cmd_distance(args: argparse.Namespace) -> dict:
     f2 = _load_function(opt["f2"])
     cfg = DistanceConfig(domain=(opt["lo"], opt["hi"]),
                          quad_points=opt["quad_points"],
-                         refine_iters=opt["refine_iters"], seed=opt["seed"])
+                         refine_iters=opt["refine_iters"])
     value, rp = nd(f1, f2, cfg)
     result = {"value": value, **rp.to_dict()}
     if opt["out"] is not None:
@@ -266,29 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ratnet",
                                      description="rational activation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **flags):
+    for name, defaults in DEFAULTS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON file with defaults")
-        p.add_argument("--out", default=None, help="artifact output directory")
-        p.add_argument("--seed", type=int, default=None)
-        for flag, kind in flags.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
-                           type=kind, default=None)
-        return p
-
-    add("fit", ref=str, m=int, n=int, lo=float, hi=float, points=int,
-        max_iters=int, slope=float, beta=float)
-    add("distance", f1=str, f2=str, lo=float, hi=float, quad_points=int,
-        refine_iters=int)
-    add("absorb", rf=str)
-    add("train", data=str, dataset=str, samples=int, hidden=str,
-        activation=str, m=int, n=int, init=str, epochs=int, batch_size=int,
-        lr=float, optimizer=str)
-    add("rl", activation=str, m=int, n=int, init=str, hidden=str, width=int,
-        height=int, steps=int, lr=float)
-    add("profile", rf=str, hist=str, network=str, lo=float, hi=float,
-        points=int)
+        for flag, default in defaults.items():
+            p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None,
+                           type=str if default is None else type(default),
+                           help="artifact output directory" if flag == "out" else None)
     return parser
 
 

@@ -53,10 +53,3 @@ def load_csv(path) -> Dataset:
     if rows.shape[1] < 2:
         raise ValueError("dataset rows need a label and at least one feature")
     return Dataset(rows[:, 1:].astype(float), rows[:, 0].astype(np.int64))
-
-
-def save_csv(path, dataset: Dataset) -> None:
-    rows = np.column_stack([dataset.y_train.astype(float), dataset.x_train])
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(f"{v:.6g}" for v in row) + "\n")

@@ -18,7 +18,7 @@ rnd agree with nd up to the domain length exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,29 +40,25 @@ class AffineReparam:
         if not all(np.isfinite(v) for v in vals):
             raise ValueError("reparameterization values must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d], dtype=float)
-
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
 
-def _default_c_grid() -> np.ndarray:
-    pos = np.logspace(-1.0, 1.0, 17)
-    return np.concatenate((-pos[::-1], pos))
+# coarse search grid over the horizontal reparameterization (c, d): 34
+# log-spaced scales of either sign in [0.1, 10], 13 shifts across [-3, 3]
+_POS_C = np.logspace(-1.0, 1.0, 17)
+C_GRID = np.concatenate((-_POS_C[::-1], _POS_C))
+D_GRID = np.linspace(-3.0, 3.0, 13)
+REFINE_STARTS = 8   # how many best grid cells seed the simplex search
+RESTARTS = 2        # simplex re-initializations per start
+SIMPLEX_TOL = 1e-8  # relative f-spread at which a simplex counts as converged
 
 
 @dataclass
 class DistanceConfig:
     domain: tuple = (-3.0, 3.0)
     quad_points: int = 2001
-    c_grid: np.ndarray = field(default_factory=_default_c_grid)
-    d_grid: np.ndarray = field(default_factory=lambda: np.linspace(-3.0, 3.0, 13))
     refine_iters: int = 200
-    refine_starts: int = 8   # how many best grid cells seed the simplex search
-    restarts: int = 2        # simplex re-initializations per start
-    tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -70,8 +66,6 @@ class DistanceConfig:
             raise ValueError("domain must satisfy lo < hi")
         if self.quad_points < 2:
             raise ValueError("quad_points must be >= 2")
-        self.c_grid = np.asarray(self.c_grid, dtype=float)
-        self.d_grid = np.asarray(self.d_grid, dtype=float)
 
 
 def _nodes_and_weights(domain, quad_points):
@@ -192,8 +186,8 @@ def _minimize(f1, f2, cfg: DistanceConfig, density=None):
         return total
 
     cells = []
-    for c in cfg.c_grid:
-        for d in cfg.d_grid:
+    for c in C_GRID:
+        for d in D_GRID:
             try:
                 g = np.asarray(f2(c * xs + d), dtype=float)
             except PoleError:
@@ -213,10 +207,10 @@ def _minimize(f1, f2, cfg: DistanceConfig, density=None):
 
     # polish from the few best cells; a fresh simplex at the incumbent point
     # (restart) recovers from premature simplex collapse
-    for start_val, _, start in cells[: cfg.refine_starts]:
+    for start_val, _, start in cells[:REFINE_STARTS]:
         point = start
-        for _ in range(cfg.restarts + 1):
-            point, val = _nelder_mead(objective, point, cfg.refine_iters, cfg.tol)
+        for _ in range(RESTARTS + 1):
+            point, val = _nelder_mead(objective, point, cfg.refine_iters, SIMPLEX_TOL)
             if val < best_val:
                 best_val, best = val, point
     a, b, c, d = best

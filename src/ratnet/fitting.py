@@ -19,8 +19,7 @@ import numpy as np
 
 from .rational import RationalFunction, SAFE, eval_batch, grad_coeffs_batch
 
-REFERENCE_NAMES = ("identity", "relu", "lrelu", "tanh", "sigmoid", "silu",
-                   "dsilu", "swish", "affine", "constant")
+GRAD_TOLERANCE = 1e-10  # sup-norm gradient threshold for "converged"
 
 
 @dataclass(frozen=True)
@@ -53,62 +52,60 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _tanh_grad(ref, x):
+    t = np.tanh(x)
+    return 1.0 - t * t
+
+
+def _sigmoid_grad(ref, x):
+    s = sigmoid(x)
+    return s * (1.0 - s)
+
+
+def _silu_grad(ref, x):
+    s = sigmoid(x)
+    return s * (1.0 + x * (1.0 - s))
+
+
+def _dsilu_grad(ref, x):
+    s = sigmoid(x)
+    return s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
+
+
+def _swish_grad(ref, x):
+    s = sigmoid(ref.beta * x)
+    return s * (1.0 + ref.beta * x * (1.0 - s))
+
+
+# name -> (value, derivative), each f(ref, x) on a float array x; dsilu is
+# silu's derivative, so it shares that expression
+REFERENCES = {
+    "identity": (lambda ref, x: x + 0.0, lambda ref, x: np.ones_like(x)),
+    "relu": (lambda ref, x: np.maximum(x, 0.0),
+             lambda ref, x: (x > 0.0).astype(float)),
+    "lrelu": (lambda ref, x: np.where(x >= 0.0, x, ref.slope * x),
+              lambda ref, x: np.where(x >= 0.0, 1.0, ref.slope)),
+    "tanh": (lambda ref, x: np.tanh(x), _tanh_grad),
+    "sigmoid": (lambda ref, x: sigmoid(x), _sigmoid_grad),
+    "silu": (lambda ref, x: x * sigmoid(x), _silu_grad),
+    "dsilu": (_silu_grad, _dsilu_grad),
+    "swish": (lambda ref, x: x * sigmoid(ref.beta * x), _swish_grad),
+    "affine": (lambda ref, x: ref.scale * x + ref.shift,
+               lambda ref, x: np.full_like(x, ref.scale)),
+    "constant": (lambda ref, x: np.full_like(x, ref.shift),
+                 lambda ref, x: np.zeros_like(x)),
+}
+REFERENCE_NAMES = tuple(REFERENCES)
+
+
 def reference_eval(ref: ReferenceActivation, x):
     """Closed-form value of the named activation, vectorized."""
-    x = np.asarray(x, dtype=float)
-    if ref.name == "identity":
-        return x + 0.0
-    if ref.name == "relu":
-        return np.maximum(x, 0.0)
-    if ref.name == "lrelu":
-        return np.where(x >= 0.0, x, ref.slope * x)
-    if ref.name == "tanh":
-        return np.tanh(x)
-    if ref.name == "sigmoid":
-        return sigmoid(x)
-    if ref.name == "silu":
-        return x * sigmoid(x)
-    if ref.name == "dsilu":
-        s = sigmoid(x)
-        return s * (1.0 + x * (1.0 - s))
-    if ref.name == "swish":
-        return x * sigmoid(ref.beta * x)
-    if ref.name == "affine":
-        return ref.scale * x + ref.shift
-    if ref.name == "constant":
-        return np.full_like(x, ref.shift)
-    raise ValueError(f"unknown reference activation {ref.name!r}")
+    return REFERENCES[ref.name][0](ref, np.asarray(x, dtype=float))
 
 
 def reference_grad(ref: ReferenceActivation, x):
     """Derivative of the named activation, vectorized."""
-    x = np.asarray(x, dtype=float)
-    if ref.name == "identity":
-        return np.ones_like(x)
-    if ref.name == "relu":
-        return (x > 0.0).astype(float)
-    if ref.name == "lrelu":
-        return np.where(x >= 0.0, 1.0, ref.slope)
-    if ref.name == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
-    if ref.name == "sigmoid":
-        s = sigmoid(x)
-        return s * (1.0 - s)
-    if ref.name == "silu":
-        s = sigmoid(x)
-        return s * (1.0 + x * (1.0 - s))
-    if ref.name == "dsilu":
-        s = sigmoid(x)
-        return s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
-    if ref.name == "swish":
-        s = sigmoid(ref.beta * x)
-        return s * (1.0 + ref.beta * x * (1.0 - s))
-    if ref.name == "affine":
-        return np.full_like(x, ref.scale)
-    if ref.name == "constant":
-        return np.zeros_like(x)
-    raise ValueError(f"unknown reference activation {ref.name!r}")
+    return REFERENCES[ref.name][1](ref, np.asarray(x, dtype=float))
 
 
 def reference_fn(ref: ReferenceActivation):
@@ -121,7 +118,6 @@ class FitConfig:
     interval: tuple = (-3.0, 3.0)
     n_points: int = 1000
     max_iters: int = 20000
-    tolerance: float = 1e-10  # sup-norm gradient threshold for "converged"
     seed: int = 0
 
     def __post_init__(self):
@@ -214,7 +210,7 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
         g = grad_of(theta)
         direction = g / precond
         descent = float(g @ direction)
-        if np.max(np.abs(g)) <= cfg.tolerance:
+        if np.max(np.abs(g)) <= GRAD_TOLERANCE:
             converged = True
             break
         # backtracking line search with Armijo condition; the accepted step

@@ -10,17 +10,22 @@ are summed, and the optimizer updates the slot exactly once per step.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .distance import DistanceConfig, rnd
-from .fitting import (FitConfig, ReferenceActivation, fit, reference_eval,
-                      reference_grad)
+from .fitting import ReferenceActivation, fit, reference_eval, reference_grad
 from .histogram import Histogram
 from .rational import (RationalFunction, _eval_array, _grad_input_array,
                        grad_coeffs_batch, init_identity)
+
+# optimizer coefficients: SGD momentum and Adam's moment decays and epsilon
+MOMENTUM = 0.9
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -83,8 +88,7 @@ class ActivationSlot:
 
     def as_callable(self) -> Callable:
         if self.trainable:
-            rf = self.activation
-            return lambda x: _eval_array(rf, np.asarray(x, dtype=float))
+            return self.activation
         return self.activation.fn
 
 
@@ -135,6 +139,10 @@ class NetworkSpec:
         self.slots = slots
         self.site_slots = list(site_slots)
         self.version = 0
+        self._link_sites()
+
+    def _link_sites(self) -> None:
+        """Point every slot at the sites that name it."""
         for slot in self.slots.values():
             slot.sites = [i for i, sid in enumerate(self.site_slots) if sid == slot.slot_id]
 
@@ -157,9 +165,7 @@ class NetworkSpec:
             if isinstance(act, RationalFunction):
                 act_doc = {"type": "rational", **act.to_dict()}
             elif act.ref is not None:
-                act_doc = {"type": "reference", "name": act.ref.name,
-                           "slope": act.ref.slope, "beta": act.ref.beta,
-                           "scale": act.ref.scale, "shift": act.ref.shift}
+                act_doc = {"type": "reference", **asdict(act.ref)}
             else:
                 raise ValueError(f"slot {sid!r} holds an ad hoc callable and "
                                  "cannot be serialized")
@@ -185,10 +191,8 @@ class NetworkSpec:
             if act_doc["type"] == "rational":
                 act = RationalFunction.from_dict(act_doc)
             elif act_doc["type"] == "reference":
-                act = ReferenceActivation(act_doc["name"], slope=act_doc.get("slope", 0.01),
-                                          beta=act_doc.get("beta", 1.0),
-                                          scale=act_doc.get("scale", 1.0),
-                                          shift=act_doc.get("shift", 0.0))
+                act = ReferenceActivation(**{k: v for k, v in act_doc.items()
+                                             if k != "type"})
             else:
                 raise ValueError(f"unknown activation type {act_doc['type']!r}")
             hist = sdoc.get("histogram")
@@ -276,10 +280,6 @@ def backward(net: NetworkSpec, cache: ForwardCache, loss_grad) -> Gradients:
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.01
-    momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
@@ -324,14 +324,14 @@ class Optimizer:
         state = self._state[key]
         cfg = self.cfg
         if cfg.optimizer == "sgd":
-            state["v"] = cfg.momentum * state["v"] + grad
+            state["v"] = MOMENTUM * state["v"] + grad
             param -= cfg.learning_rate * state["v"]
         else:
-            state["m"] = cfg.adam_beta1 * state["m"] + (1 - cfg.adam_beta1) * grad
-            state["v"] = cfg.adam_beta2 * state["v"] + (1 - cfg.adam_beta2) * grad * grad
-            m_hat = state["m"] / (1 - cfg.adam_beta1 ** self.t)
-            v_hat = state["v"] / (1 - cfg.adam_beta2 ** self.t)
-            param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            state["m"] = ADAM_BETA1 * state["m"] + (1 - ADAM_BETA1) * grad
+            state["v"] = ADAM_BETA2 * state["v"] + (1 - ADAM_BETA2) * grad * grad
+            m_hat = state["m"] / (1 - ADAM_BETA1 ** self.t)
+            v_hat = state["v"] / (1 - ADAM_BETA2 ** self.t)
+            param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def step(self, net: NetworkSpec, grads: Gradients) -> None:
         self.t += 1
@@ -346,12 +346,6 @@ class Optimizer:
                 self._apply(("slot", sid, "den"), rf.denominator, d_den,
                             f"slots[{sid}].denominator")
         net.version += 1
-
-
-def step(net: NetworkSpec, grads: Gradients, cfg: TrainConfig) -> NetworkSpec:
-    """One optimizer step with fresh state; returns the updated network."""
-    Optimizer(net, cfg).step(net, grads)
-    return net
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -451,8 +445,7 @@ def apply_affine_equivalence(net: NetworkSpec, site_index: int, rp,
     track = old_slot.histogram is not None
     out.slots[new_id] = ActivationSlot(new_id, f2, track_inputs=track)
     out.site_slots[site_index] = new_id
-    for slot in out.slots.values():
-        slot.sites = [i for i, sid in enumerate(out.site_slots) if sid == slot.slot_id]
+    out._link_sites()
     if not out.slots[old_slot.slot_id].sites:
         del out.slots[old_slot.slot_id]
     return out
@@ -524,8 +517,7 @@ def xavier_normal(rng: np.random.Generator, out_size: int, in_size: int) -> np.n
 def build_dense_network(layer_sizes: list[int], activation: str = "rational",
                         degrees: tuple[int, int] = (5, 4), init: str = "lrelu",
                         sharing: list[list[int]] | None = None, seed: int = 0,
-                        track_inputs: bool = False, lrelu_slope: float = 0.01,
-                        fit_cfg: FitConfig | None = None) -> NetworkSpec:
+                        track_inputs: bool = False) -> NetworkSpec:
     """Construct a dense network with activations after every hidden layer.
 
     ``activation`` is "rational" (one trainable slot per site),
@@ -549,7 +541,7 @@ def build_dense_network(layer_sizes: list[int], activation: str = "rational",
         if init == "identity":
             proto = init_identity(m, n)
         elif init == "lrelu":
-            proto, _ = fit(m, n, ReferenceActivation("lrelu", slope=lrelu_slope), fit_cfg)
+            proto, _ = fit(m, n, ReferenceActivation("lrelu"))
         else:
             raise ValueError("init must be 'identity' or 'lrelu'")
         if sharing is None:
@@ -564,7 +556,7 @@ def build_dense_network(layer_sizes: list[int], activation: str = "rational",
             for i in group:
                 site_slots[i] = sid
     else:
-        ref = ReferenceActivation(activation, slope=lrelu_slope)
+        ref = ReferenceActivation(activation)
         for i in range(n_sites):
             sid = f"{activation}{i}"
             slots[sid] = ActivationSlot(sid, ref, track_inputs=track_inputs)

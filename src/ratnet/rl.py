@@ -18,6 +18,8 @@ from .network import (NetworkSpec, Optimizer, TrainConfig, backward,
 
 ACTIONS = ("up", "down", "left", "right")
 _MOVES = ((0, -1), (0, 1), (-1, 0), (1, 0))
+BATCH_SIZE = 32      # transitions per replay minibatch
+HUBER_DELTA = 1.0    # TD errors beyond +-HUBER_DELTA get a constant gradient
 
 
 @dataclass
@@ -107,14 +109,6 @@ class GridWorld:
         elif self._steps >= self.max_steps:
             done = True
         return self.encode(self._pos), reward, done
-
-
-def env_reset(env: GridWorld) -> np.ndarray:
-    return env.reset()
-
-
-def env_step(env: GridWorld, action: int):
-    return env.step(action)
 
 
 def value_iteration(env: GridWorld, gamma: float = 1.0, tol: float = 1e-10,
@@ -227,13 +221,11 @@ class DqnConfig:
     epsilon_end: float = 0.1
     epsilon_decay_steps: int = 10000
     target_update_freq: int = 250
-    batch_size: int = 32
     learning_rate: float = 1e-3
     buffer_capacity: int = 5000
     initial_fill: int = 500
     train_steps: int = 30000
     eval_freq: int = 1000
-    huber_delta: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -255,8 +247,8 @@ def epsilon_at(cfg: DqnConfig, step: int) -> float:
     return min(max(eps, cfg.epsilon_end), cfg.epsilon_start)
 
 
-def huber_grad(delta: np.ndarray, threshold: float = 1.0) -> np.ndarray:
-    return np.clip(delta, -threshold, threshold)
+def huber_grad(delta: np.ndarray) -> np.ndarray:
+    return np.clip(delta, -HUBER_DELTA, HUBER_DELTA)
 
 
 def _one_hot(indices: np.ndarray, n: int) -> np.ndarray:
@@ -312,18 +304,17 @@ def dqn_train(env: GridWorld, net: NetworkSpec, cfg: DqnConfig,
             state_idx = next_idx
 
         if buffer.ready:
-            states, actions, rewards, nexts, dones = buffer.sample(cfg.batch_size)
+            states, actions, rewards, nexts, dones = buffer.sample(BATCH_SIZE)
             x = _one_hot(states, env.n_states)
             x_next = _one_hot(nexts, env.n_states)
             q, cache = forward(net, x, track=True)
             q_next, _ = forward(target, x_next, track=False)
             td_target = rewards + cfg.gamma * q_next.max(axis=1) * (1.0 - dones)
-            td_error = q[np.arange(cfg.batch_size), actions] - td_target
+            td_error = q[np.arange(BATCH_SIZE), actions] - td_target
             if not np.all(np.isfinite(td_error)):
                 raise RuntimeError(f"non-finite TD error at step {step_i}")
             dq = np.zeros_like(q)
-            dq[np.arange(cfg.batch_size), actions] = \
-                huber_grad(td_error, cfg.huber_delta) / cfg.batch_size
+            dq[np.arange(BATCH_SIZE), actions] = huber_grad(td_error) / BATCH_SIZE
             grads = backward(net, cache, dq)
             opt.step(net, grads)
 

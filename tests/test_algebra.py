@@ -219,6 +219,26 @@ class TestSafeToRaw:
         with pytest.raises(ValueError):
             safe_to_raw(rf)
 
+    def test_sign_change_between_grid_points_rejected(self):
+        # S = x^2 ((x - 0.5025)^2 - 0.001^2) is negative only on
+        # (0.5015, 0.5035), which falls between the points of a 2001-point
+        # grid over [-3, 3] (0.501 and 0.504)
+        b = [0.0, 0.5025**2 - 0.001**2, -1.005, 1.0]
+        rf = RationalFunction([0.0, 1.0], b, SAFE)
+        assert polyval(np.asarray(b), 0.5025) * 0.5025 < 0.0
+        with pytest.raises(ValueError):
+            safe_to_raw(rf)
+
+    @given(st.floats(-3.0, 3.0), st.floats(0.1, 2.0), st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=50, deadline=None)
+    def test_even_order_root_accepted(self, r, c, sign):
+        # S = sign * c * x^2 (x - r)^2 touches zero without crossing it
+        s = sign * c * np.convolve([0.0, 0.0, 1.0], np.convolve([-r, 1.0], [-r, 1.0]))
+        rf = RationalFunction([0.5, 1.0], s[1:], SAFE)
+        raw = safe_to_raw(rf)
+        xs = np.linspace(-3, 3, 101)
+        np.testing.assert_allclose(eval_batch(raw, xs), eval_batch(rf, xs), rtol=1e-12)
+
     def test_raw_input_rejected(self):
         with pytest.raises(ValueError):
             safe_to_raw(RationalFunction([0.0, 1.0], [1.0], RAW))

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from ratnet.cli import main
+from ratnet.cli import DEFAULTS, _resolve, build_parser, main
 from ratnet.rational import RAW, RationalFunction, init_identity
 
 
@@ -167,6 +167,27 @@ class TestProfileCommand:
             # tracked histograms give a real density column
             densities = [float(l.split(",")[2]) for l in lines[1:]]
             assert max(densities) > 0.0
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", sorted(DEFAULTS))
+    def test_parser_flags_match_defaults(self, command):
+        args = vars(build_parser().parse_args([command]))
+        assert set(args) - {"command", "config"} == set(DEFAULTS[command])
+
+    @pytest.mark.parametrize("command", sorted(DEFAULTS))
+    def test_config_naming_every_key_accepted(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(DEFAULTS[command]))
+        args = build_parser().parse_args([command, "--config", str(cfg)])
+        assert _resolve(args, command) == DEFAULTS[command]
+
+    def test_distance_accepts_seed(self, capsys):
+        argv = ("distance", "--f1", "sigmoid", "--f2", "tanh", "--quad-points", "301")
+        code, result = run_cli(capsys, *argv, "--seed", "3")
+        assert code == 0
+        # the distance is deterministic, so the seed changes nothing
+        assert run_cli(capsys, *argv, "--seed", "4") == (code, result)
 
 
 class TestDeterminism:

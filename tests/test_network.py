@@ -11,7 +11,7 @@ from ratnet.network import (ActivationSlot, DenseLayer, FixedActivation,
                             apply_affine_equivalence, backward,
                             build_dense_network, clone_network, forward,
                             pairwise_layer_distances, softmax_cross_entropy,
-                            step, suggest_sharing, train_classifier)
+                            suggest_sharing, train_classifier)
 from ratnet.rational import RAW, RationalFunction, init_identity
 from ratnet.distance import AffineReparam
 
@@ -158,7 +158,7 @@ class TestBackward:
         x = rng.normal(size=(4, 2))
         out, cache = forward(net, x)
         grads = backward(net, cache, np.ones_like(out))
-        step(net, grads, TrainConfig(learning_rate=0.1))
+        Optimizer(net, TrainConfig(learning_rate=0.1)).step(net, grads)
         with pytest.raises(ValueError):
             backward(net, cache, np.ones_like(out))
 
@@ -211,14 +211,14 @@ class TestStep:
     def test_sgd_basic(self):
         net = tiny_net([[1.0]], [0.0])
         grads = Gradients(layers=[(np.array([[1.0]]), np.array([0.0]))])
-        step(net, grads, TrainConfig(learning_rate=0.1, optimizer="sgd"))
+        Optimizer(net, TrainConfig(learning_rate=0.1, optimizer="sgd")).step(net, grads)
         assert net.layers[0].weights[0, 0] == pytest.approx(0.9)
 
     def test_zero_gradients_leave_net_unchanged(self):
         for opt in ("sgd", "adam"):
             net = tiny_net([[2.0]], [1.0])
             grads = Gradients(layers=[(np.zeros((1, 1)), np.zeros(1))])
-            step(net, grads, TrainConfig(learning_rate=0.5, optimizer=opt))
+            Optimizer(net, TrainConfig(learning_rate=0.5, optimizer=opt)).step(net, grads)
             assert net.layers[0].weights[0, 0] == 2.0
             assert net.layers[0].biases[0] == 1.0
 
@@ -228,7 +228,7 @@ class TestStep:
         lr, eps, g = 0.01, 1e-8, 0.37
         net = tiny_net([[1.0]], [0.0])
         grads = Gradients(layers=[(np.array([[g]]), np.zeros(1))])
-        step(net, grads, TrainConfig(learning_rate=lr, optimizer="adam"))
+        Optimizer(net, TrainConfig(learning_rate=lr, optimizer="adam")).step(net, grads)
         expected = 1.0 - lr * g / (np.sqrt(g * g) + eps)
         assert net.layers[0].weights[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -242,7 +242,7 @@ class TestStep:
         grads = Gradients(layers=[(np.zeros_like(l.weights), np.zeros_like(l.biases))
                                   for l in net.layers],
                           slots={sid: (g_num, g_den)})
-        step(net, grads, TrainConfig(learning_rate=0.1, optimizer="sgd"))
+        Optimizer(net, TrainConfig(learning_rate=0.1, optimizer="sgd")).step(net, grads)
         after = net.slots[sid].activation.numerator
         # one SGD step of -0.1 * 1, not one per site
         np.testing.assert_allclose(after, before - 0.1, rtol=1e-12)
@@ -251,7 +251,7 @@ class TestStep:
         net = tiny_net([[1.0]], [0.0])
         grads = Gradients(layers=[(np.array([[np.nan]]), np.zeros(1))])
         with pytest.raises(RuntimeError, match=r"layers\[0\]\.weights"):
-            step(net, grads, TrainConfig(learning_rate=0.1))
+            Optimizer(net, TrainConfig(learning_rate=0.1)).step(net, grads)
 
 
 class TestAffineEquivalence:
