@@ -21,7 +21,7 @@ def main():
     ap.add_argument("--m", type=int, default=5)
     ap.add_argument("--n", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-iters", type=int, default=20000)
+    ap.add_argument("--max-iters", type=int, default=FitConfig().max_iters)
     ap.add_argument("--out", default="profiles")
     args = ap.parse_args()
 

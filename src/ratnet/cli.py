@@ -31,8 +31,8 @@ from .rl import (DqnConfig, GridWorld, ScoreReport, dqn_train, greedy_return,
 # may override the defaults and explicit flags override both
 DEFAULTS = {
     "fit": {"ref": "lrelu", "m": 5, "n": 4, "lo": -3.0, "hi": 3.0,
-            "points": 1000, "max_iters": 20000, "slope": 0.01, "beta": 1.0,
-            "seed": 0, "out": None},
+            "points": 1000, "max_iters": FitConfig().max_iters, "slope": 0.01,
+            "beta": 1.0, "seed": 0, "out": None},
     "distance": {"f1": None, "f2": None, "lo": -3.0, "hi": 3.0,
                  "quad_points": 2001, "refine_iters": 200, "seed": 0, "out": None},
     "absorb": {"rf": None, "out": None, "seed": 0},

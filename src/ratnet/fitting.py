@@ -1,14 +1,13 @@
 """Reference activations and least-squares fitting of rational coefficients.
 
 The fit is how rationals get initialized to resemble a classical activation
-before training: sample the target on a grid, then run full-batch gradient
-descent with a backtracking line search on the mean squared error.  The
-descent direction is preconditioned by a fixed diagonal metric (the
-Gauss-Newton diagonal at the identity start); without it the x^j features on
-[-3, 3] make the landscape so ill-conditioned that plain gradient steps need
-hundreds of thousands of iterations.  The optimizer only ever accepts
-improving steps, so the loss trajectory is non-increasing, and everything is
-deterministic given the seed.
+before training: sample the target on a grid, then minimize the mean squared
+error by Levenberg-Marquardt with Marquardt's diagonal damping.  Two starts
+come from linear least squares: multiplying R = P/(1 + |S|) out gives
+P - y*|S| = y, which is linear in the coefficients once the sign pattern of
+S is guessed, either S >= 0 on the grid or S of the sign of x.  The optimizer
+only ever accepts improving steps, so the loss trajectory is non-increasing,
+and everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -17,9 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import RationalFunction, SAFE, eval_batch, grad_coeffs_batch
+from .rational import (RationalFunction, SAFE, _denominator_parts, eval_batch,
+                       grad_coeffs_batch, polyval)
 
 GRAD_TOLERANCE = 1e-10  # sup-norm gradient threshold for "converged"
+# Levenberg-Marquardt damping: its start, the factor it grows by after a
+# rejected trial and shrinks by after an accepted one, and its floor and cap
+LM_DAMPING = 1e-3
+LM_FACTOR = 10.0
+LM_DAMPING_FLOOR = 1e-12
+LM_DAMPING_CAP = 1e16
+# an accepted step lowering the loss by at most this fraction is a stall
+STALL_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -148,11 +156,12 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
 
     ``ref`` is a ReferenceActivation or any closed-form callable (e.g.
     another RationalFunction).  Minimizes mean((R(x_i) - ref(x_i))^2) over
-    n_points uniform samples of the interval, starting from the identity
-    coefficients (a_1 = 1 where representable) plus a small seeded uniform
-    perturbation.  Returns the best iterate found and a FitReport; running
-    out of iterations is not an error, the report just carries
-    converged=False.
+    n_points uniform samples of the interval by Levenberg-Marquardt from
+    each linearized start plus a small seeded uniform perturbation, and
+    keeps the better result (the first on a tie).  ``cfg.max_iters`` caps
+    the LM trials summed over both starts; the second start gets what the
+    first leaves.  Returns the best iterate found and a FitReport; running
+    out of trials is not an error, the report just carries converged=False.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be non-negative")
@@ -161,10 +170,10 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
     if cfg.n_points < m + n + 1:
         raise ValueError("n_points must be at least m + n + 1")
     rng = np.random.default_rng(cfg.seed)
-    theta = np.zeros(m + 1 + n)
+    jitter = rng.uniform(-1e-2, 1e-2, size=m + 1 + n)
+    identity_start = jitter.copy()
     if m >= 1:
-        theta[1] = 1.0
-    theta = theta + rng.uniform(-1e-2, 1e-2, size=theta.size)
+        identity_start[1] += 1.0
 
     xs = np.linspace(cfg.interval[0], cfg.interval[1], cfg.n_points)
     if isinstance(ref, ReferenceActivation):
@@ -172,68 +181,81 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
     else:
         ys = np.asarray(ref(xs), dtype=float)
 
-    def loss_of(t: np.ndarray) -> float:
+    def residual(t: np.ndarray):
+        """(residual vector, mse) at t; (None, inf) where t is not finite."""
+        if not np.all(np.isfinite(t)):
+            return None, np.inf
         a, b = _unpack(t, m)
-        # overflow during line-search exploration just means "reject step"
+        # overflow at a trial point just means "reject the step"
         with np.errstate(over="ignore", invalid="ignore"):
             r = eval_batch(RationalFunction(a, b, SAFE), xs) - ys
-            return float(np.mean(r * r))
+            return r, float(np.mean(r * r))
 
-    def grad_of(t: np.ndarray) -> np.ndarray:
-        a, b = _unpack(t, m)
-        rf = RationalFunction(a, b, SAFE)
-        r = eval_batch(rf, xs) - ys
-        upstream = 2.0 * r / xs.size
-        d_num, d_den = grad_coeffs_batch(rf, xs, upstream)
-        return np.concatenate((d_num, d_den))
-
-    loss = loss_of(theta)
-    if not np.isfinite(loss) or not np.all(np.isfinite(ys)):
+    # checked before any feature matrix is built: on an interval wide enough
+    # to overflow x^j the linearized solves would only spray warnings
+    if not np.all(np.isfinite(ys)) or not np.isfinite(residual(identity_start)[1]):
         raise ValueError("loss is not finite at the starting point")
 
-    # fixed diagonal preconditioner: the Gauss-Newton diagonal of the MSE at
-    # the identity start (Q ~ 1, P ~ x), which equalizes the wildly different
-    # curvature scales of low- and high-degree coefficients
     num_feats = np.vander(xs, m + 1, increasing=True)
-    scale = 2.0 * np.mean(num_feats * num_feats, axis=0)
-    if n > 0:
-        den_feats = np.vander(xs, n + 1, increasing=True)[:, 1:] * xs[:, None]
-        scale = np.concatenate((scale, 2.0 * np.mean(den_feats * den_feats, axis=0)))
-    precond = np.maximum(scale, 1e-12)
+    den_feats = np.vander(xs, n + 1, increasing=True)[:, 1:]
 
-    best_theta = theta.copy()
-    best_loss = loss
-    step = 1.0
-    converged = False
+    def descend(theta: np.ndarray, budget: int):
+        """LM from theta for at most `budget` trials, accepting only steps
+        that lower the loss; returns (theta, loss, trials, converged)."""
+        r, loss = residual(theta)
+        damping = LM_DAMPING
+        trials = 0
+        while True:
+            a, b = _unpack(theta, m)
+            rf = RationalFunction(a, b, SAFE)
+            grad = np.concatenate(grad_coeffs_batch(rf, xs, 2.0 * r / xs.size))
+            if np.max(np.abs(grad)) <= GRAD_TOLERANCE:
+                return theta, loss, trials, True
+            q, s = _denominator_parts(rf, xs)
+            p = polyval(a, xs)
+            jac = np.hstack((num_feats / q[:, None],
+                             den_feats * (-p * np.sign(s) / (q * q))[:, None]))
+            # Marquardt's damping H + lambda * diag(H), solved in the
+            # diagonally scaled variables where diag(H) becomes the identity
+            hess = (2.0 / xs.size) * (jac.T @ jac)
+            scale = np.sqrt(np.maximum(np.diag(hess), np.finfo(float).tiny))
+            unit = hess / np.outer(scale, scale)
+            while True:
+                if trials == budget:
+                    return theta, loss, trials, False
+                trials += 1
+                step = np.linalg.solve(unit + damping * np.eye(theta.size), -grad / scale)
+                cand = theta + step / scale
+                cand_r, cand_loss = residual(cand)
+                if cand_loss < loss:
+                    break
+                damping *= LM_FACTOR
+                if damping > LM_DAMPING_CAP:
+                    # no improving step exists at float resolution
+                    return theta, loss, trials, True
+            decrease = (loss - cand_loss) / loss
+            theta, r, loss = cand, cand_r, cand_loss
+            damping = max(damping / LM_FACTOR, LM_DAMPING_FLOOR)
+            if decrease <= STALL_TOLERANCE:
+                return theta, loss, trials, True
+
+    # linearized starts: P - y*w*S = y is linear in the coefficients and
+    # equals the fit where |S| = w*S, so w = 1 assumes S >= 0 on the grid
+    # and w = sign(x) the kink at 0 of every safe S with b_1 != 0
+    best = None
     iterations = 0
-    while iterations < cfg.max_iters:
-        g = grad_of(theta)
-        direction = g / precond
-        descent = float(g @ direction)
-        if np.max(np.abs(g)) <= GRAD_TOLERANCE:
-            converged = True
-            break
-        # backtracking line search with Armijo condition; the accepted step
-        # is re-used (doubled) as the first trial of the next iteration
-        accepted = False
-        t = step
-        while t > 1e-20:
-            cand = theta - t * direction
-            cand_loss = loss_of(cand)
-            if np.isfinite(cand_loss) and cand_loss <= loss - 1e-4 * t * descent:
-                theta, loss = cand, cand_loss
-                step = min(t * 2.0, 1e6)
-                accepted = True
-                break
-            t *= 0.5
-        iterations += 1
-        if not accepted:
-            # no further progress possible at float resolution
-            converged = True
-            break
-        if loss < best_loss:
-            best_loss = loss
-            best_theta = theta.copy()
+    for w in (1.0, np.sign(xs)):
+        # y*x^k can overflow where the identity start's loss does not
+        with np.errstate(over="ignore", invalid="ignore"):
+            lin = np.hstack((num_feats, -(w * ys)[:, None] * den_feats))
+        start = (np.linalg.lstsq(lin, ys, rcond=None)[0] + jitter
+                 if np.all(np.isfinite(lin)) else identity_start)
+        theta, loss, trials, converged = descend(start, cfg.max_iters - iterations)
+        iterations += trials
+        if best is None or loss < best[1]:
+            best = (theta, loss, converged)
+        if n == 0:
+            break  # without S both starts are the same
 
-    a, b = _unpack(best_theta, m)
-    return RationalFunction(a, b, SAFE), FitReport(best_loss, iterations, converged)
+    a, b = _unpack(best[0], m)
+    return RationalFunction(a, b, SAFE), FitReport(best[1], iterations, best[2])
