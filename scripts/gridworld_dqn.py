@@ -1,18 +1,14 @@
 #!/usr/bin/env python3
 """Gridworld DQN comparison across activation configurations.
 
-Trains one agent per activation and reports raw and normalized scores, with
-the value-iteration optimum as the baseline and a seeded random policy as
-the floor.
+Runs `ratnet rl` once per activation and reports raw and normalized scores,
+with the value-iteration optimum as the baseline and a seeded random policy
+as the floor.
 """
 
 import argparse
 
-import numpy as np
-
-from ratnet.network import build_dense_network
-from ratnet.rl import (DqnConfig, GridWorld, ScoreReport, dqn_train,
-                       greedy_return, optimal_return, random_return)
+from ratnet import cli
 
 
 def main():
@@ -24,25 +20,20 @@ def main():
     ap.add_argument("--size", type=int, default=5)
     args = ap.parse_args()
 
-    env = GridWorld(width=args.size, height=args.size,
-                    goal=(args.size - 1, args.size - 1))
-    baseline = optimal_return(env)
-    floor = random_return(env, np.random.default_rng(args.seed + 1))
-    print(f"value-iteration optimum {baseline:.2f}, random policy {floor:.2f}\n")
-
-    print(f"{'activation':18s} {'return':>8s} {'normalized':>11s}")
+    results = {}
     for activation in args.activations.split(","):
         activation = activation.strip()
-        env = GridWorld(width=args.size, height=args.size,
-                        goal=(args.size - 1, args.size - 1))
-        net = build_dense_network([env.n_states, 64, 64, env.n_actions],
-                                  activation=activation, init="lrelu",
-                                  seed=args.seed, track_inputs=True)
-        cfg = DqnConfig(train_steps=args.steps, seed=args.seed)
-        net, _ = dqn_train(env, net, cfg)
-        agent = greedy_return(env, net)
-        report = ScoreReport(agent, floor, baseline)
-        print(f"{activation:18s} {agent:8.2f} {report.normalized:10.1f}%")
+        results[activation] = cli.cmd_rl(cli.build_parser().parse_args(
+            ["rl", "--activation", activation, "--steps", str(args.steps),
+             "--seed", str(args.seed), "--width", str(args.size),
+             "--height", str(args.size)]))
+
+    first = next(iter(results.values()))
+    print(f"value-iteration optimum {first['baseline']:.2f}, "
+          f"random policy {first['random']:.2f}\n")
+    print(f"{'activation':18s} {'return':>8s} {'normalized':>11s}")
+    for activation, result in results.items():
+        print(f"{activation:18s} {result['agent']:8.2f} {result['normalized']:10.1f}%")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rational import RAW, SAFE, RationalFunction, polyval
+from .rational import RAW, SAFE, RationalFunction, inner_poly, polyval
 
 
 def poly_trim(p) -> np.ndarray:
@@ -124,7 +124,7 @@ def safe_to_raw(rf: RationalFunction, domain=(-3.0, 3.0)) -> RationalFunction:
     b = rf.denominator
     if b.size == 0 or np.all(b == 0.0):
         return RationalFunction(rf.numerator.copy(), np.ones(1), RAW)
-    s = np.concatenate(([0.0], b))
+    s = inner_poly(rf)
     lo, hi = domain
     roots = np.roots(s[::-1])
     # two close real roots can come back as a complex pair; taking their

@@ -172,18 +172,19 @@ def _minimize(f1, f2, cfg: DistanceConfig, density=None):
     if not np.all(np.isfinite(y1)):
         raise ValueError("f1 must be finite on the domain")
 
+    def gap(a, b, g) -> float:
+        """Weighted L1 gap to a*g + b, for g = f2(c*xs + d) in hand."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float((w * np.abs(y1 - (a * g + b))).sum())
+        return total if np.isfinite(total) else np.inf
+
     def objective(params) -> float:
         a, b, c, d = params
         try:
             g = np.asarray(f2(c * xs + d), dtype=float)
         except PoleError:
             return np.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = w * np.abs(y1 - (a * g + b))
-            total = float(vals.sum())
-        if not np.isfinite(total):
-            return np.inf
-        return total
+        return gap(a, b, g)
 
     cells = []
     for c in C_GRID:
@@ -195,7 +196,7 @@ def _minimize(f1, f2, cfg: DistanceConfig, density=None):
             if not np.all(np.isfinite(g)):
                 continue
             a, b = _solve_affine_ls(y1, g, w)
-            val = objective((a, b, c, d))
+            val = gap(a, b, g)
             if np.isfinite(val):
                 cells.append((val, len(cells), np.array([a, b, c, d])))
     if not cells:

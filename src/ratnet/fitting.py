@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import (RationalFunction, SAFE, _denominator_parts, eval_batch,
-                       grad_coeffs_batch, polyval)
+from .rational import (RationalFunction, SAFE, coeff_jacobian, coeff_powers,
+                       eval_batch, grad_coeffs_batch)
 
 GRAD_TOLERANCE = 1e-10  # sup-norm gradient threshold for "converged"
 # Levenberg-Marquardt damping: its start, the factor it grows by after a
@@ -196,8 +196,9 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
     if not np.all(np.isfinite(ys)) or not np.isfinite(residual(identity_start)[1]):
         raise ValueError("loss is not finite at the starting point")
 
-    num_feats = np.vander(xs, m + 1, increasing=True)
-    den_feats = np.vander(xs, n + 1, increasing=True)[:, 1:]
+    # x^j depends only on the grid: one build serves every Jacobian and
+    # both linearized starts
+    powers = coeff_powers(RationalFunction(*_unpack(identity_start, m), SAFE), xs)
 
     def descend(theta: np.ndarray, budget: int):
         """LM from theta for at most `budget` trials, accepting only steps
@@ -206,15 +207,11 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
         damping = LM_DAMPING
         trials = 0
         while True:
-            a, b = _unpack(theta, m)
-            rf = RationalFunction(a, b, SAFE)
+            rf = RationalFunction(*_unpack(theta, m), SAFE)
             grad = np.concatenate(grad_coeffs_batch(rf, xs, 2.0 * r / xs.size))
             if np.max(np.abs(grad)) <= GRAD_TOLERANCE:
                 return theta, loss, trials, True
-            q, s = _denominator_parts(rf, xs)
-            p = polyval(a, xs)
-            jac = np.hstack((num_feats / q[:, None],
-                             den_feats * (-p * np.sign(s) / (q * q))[:, None]))
+            jac = coeff_jacobian(rf, xs, powers)
             # Marquardt's damping H + lambda * diag(H), solved in the
             # diagonally scaled variables where diag(H) becomes the identity
             hess = (2.0 / xs.size) * (jac.T @ jac)
@@ -247,7 +244,7 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
     for w in (1.0, np.sign(xs)):
         # y*x^k can overflow where the identity start's loss does not
         with np.errstate(over="ignore", invalid="ignore"):
-            lin = np.hstack((num_feats, -(w * ys)[:, None] * den_feats))
+            lin = np.hstack((powers[0], -(w * ys)[:, None] * powers[1]))
         start = (np.linalg.lstsq(lin, ys, rcond=None)[0] + jitter
                  if np.all(np.isfinite(lin)) else identity_start)
         theta, loss, trials, converged = descend(start, cfg.max_iters - iterations)

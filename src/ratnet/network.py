@@ -18,8 +18,8 @@ import numpy as np
 from .distance import DistanceConfig, rnd
 from .fitting import ReferenceActivation, fit, reference_eval, reference_grad
 from .histogram import Histogram
-from .rational import (RationalFunction, _eval_array, _grad_input_array,
-                       grad_coeffs_batch, init_identity)
+from .rational import (RationalFunction, grad_coeffs_batch, grad_input_batch,
+                       init_identity)
 
 # optimizer coefficients: SGD momentum and Adam's moment decays and epsilon
 MOMENTUM = 0.9
@@ -75,12 +75,12 @@ class ActivationSlot:
         if track and self.histogram is not None:
             self.histogram.observe(z)
         if self.trainable:
-            return _eval_array(self.activation, z)
+            return self.activation(z)
         return np.asarray(self.activation.fn(z), dtype=float)
 
     def input_grad(self, z: np.ndarray) -> np.ndarray:
         if self.trainable:
-            return _grad_input_array(self.activation, z)
+            return grad_input_batch(self.activation, z)
         if self.activation.grad is None:
             raise ValueError(f"slot {self.slot_id!r} has no derivative; "
                              "it cannot be trained through")

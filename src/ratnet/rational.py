@@ -1,10 +1,13 @@
 """Rational functions R(x) = P(x)/Q(x) with trainable coefficients.
 
-Two denominator conventions are supported.  The raw variant stores the full
-coefficient vector b_0..b_n and evaluates Q(x) = sum_k b_k x^k; it can have
-real poles but admits exact polynomial algebra.  The safe variant stores only
-the free coefficients b_1..b_n and evaluates Q(x) = 1 + |sum_{k>=1} b_k x^k|,
-so Q >= 1 everywhere and training can never step onto a pole.
+Two denominator conventions are supported, both built on a polynomial
+T(x) = sum_k t_k x^k.  The raw variant stores the full coefficient vector
+b_0..b_n = t_0..t_n and evaluates Q = T; it can have real poles but admits
+exact polynomial algebra.  The safe variant stores only the free coefficients
+b_1..b_n, pins t_0 = 0 and evaluates Q = 1 + |T|, so Q >= 1 everywhere and
+training can never step onto a pole.  Its dQ/dT is sign(T), taken as 0 at the
+kink.  This module is the only one that knows these rules: every value and
+derivative of R takes one batched path, and the scalar functions wrap it.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ class PoleError(ArithmeticError):
 
 
 def polyval(coeffs: np.ndarray, x):
-    """Horner evaluation of an ascending-order coefficient vector."""
+    """Horner evaluation of an ascending-order coefficient vector; an empty
+    vector is the zero polynomial."""
     x = np.asarray(x, dtype=float)
-    result = np.full(x.shape, coeffs[-1], dtype=float)
+    result = np.full(x.shape, coeffs[-1] if len(coeffs) else 0.0, dtype=float)
     for c in coeffs[-2::-1]:
         result = result * x + c
     return result
@@ -78,9 +82,7 @@ class RationalFunction:
     @property
     def n(self) -> int:
         """Denominator degree."""
-        if self.variant == SAFE:
-            return self.denominator.size
-        return self.denominator.size - 1
+        return inner_poly(self).size - 1
 
     def __call__(self, x):
         """Vectorized evaluation; preserves the input shape."""
@@ -127,20 +129,36 @@ def init_identity(m: int, n: int, variant: str = SAFE) -> RationalFunction:
     return RationalFunction(num, den, variant)
 
 
-def _denominator_parts(rf: RationalFunction, x):
-    """Return (Q(x), S(x)) where S is the safe variant's signed inner sum.
+def inner_poly(rf: RationalFunction) -> np.ndarray:
+    """Coefficients t_0..t_n of T, the denominator's polynomial part.
 
-    For the raw variant S is None.  Keeping S around lets gradient code reuse
-    the sign factor of d|S|/dS without re-evaluating the polynomial.
+    The raw Q is T itself.  The safe Q is 1 + |T|, where T has t_0 = 0 and
+    the stored b_1..b_n above it.
     """
     if rf.variant == RAW:
-        return polyval(rf.denominator, x), None
-    x = np.asarray(x, dtype=float)
-    if rf.denominator.size == 0:
-        s = np.zeros(x.shape)
-    else:
-        s = polyval(rf.denominator, x) * x
-    return 1.0 + np.abs(s), s
+        return rf.denominator
+    return np.concatenate(([0.0], rf.denominator))
+
+
+def _denominator_parts(rf: RationalFunction, x):
+    """Return (Q(x), T(x)); a raw Q is checked for poles here.
+
+    The safe T is evaluated as x * (b_1 + ... + b_n x^(n-1)), so its zero
+    constant term costs nothing.  Keeping T around lets gradient code take
+    dQ/dT without re-evaluating the polynomial.
+    """
+    if rf.variant == RAW:
+        q = polyval(rf.denominator, x)
+        _check_poles(q, x)
+        return q, q
+    t = polyval(rf.denominator, x) * x
+    return 1.0 + np.abs(t), t
+
+
+def _dq_dt(rf: RationalFunction, t):
+    """dQ/dT: 1 for raw, sign(T) for safe, whose kink at T = 0 takes the
+    subgradient 0."""
+    return 1.0 if rf.variant == RAW else np.sign(t)
 
 
 def _check_poles(q: np.ndarray, x: np.ndarray) -> None:
@@ -153,81 +171,56 @@ def _check_poles(q: np.ndarray, x: np.ndarray) -> None:
 
 
 def _eval_array(rf: RationalFunction, x: np.ndarray) -> np.ndarray:
-    p = polyval(rf.numerator, x)
     q, _ = _denominator_parts(rf, x)
-    if rf.variant == RAW:
-        _check_poles(q, x)
-    return p / q
+    return polyval(rf.numerator, x) / q
 
 
-def evaluate(rf: RationalFunction, x: float) -> float:
-    """R(x) at a single point.  Raises PoleError when a raw Q(x) is zero."""
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError("input must be finite")
-    return float(_eval_array(rf, np.asarray(x)))
+def eval_batch(rf: RationalFunction, xs) -> np.ndarray:
+    """Elementwise evaluation over an array of finite inputs.
 
-
-def eval_batch(rf: RationalFunction, xs, tracker=None) -> np.ndarray:
-    """Elementwise evaluation over an array of inputs.
-
-    When ``tracker`` (a Histogram) is given, every input is recorded before
-    evaluation, so tracking happens even if a later element hits a pole.
+    Raises PoleError when a raw Q is zero at some input.
     """
     x = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("inputs must be finite")
-    if tracker is not None:
-        tracker.observe(x)
     return _eval_array(rf, x)
 
 
-def _grad_input_array(rf: RationalFunction, x: np.ndarray) -> np.ndarray:
-    p = polyval(rf.numerator, x)
-    dp = polyval(polyder(rf.numerator), x)
-    if rf.variant == RAW:
-        q = polyval(rf.denominator, x)
-        _check_poles(q, x)
-        dq = polyval(polyder(rf.denominator), x)
-    else:
-        q, s = _denominator_parts(rf, x)
-        if rf.denominator.size == 0:
-            dq = np.zeros(np.shape(x))
-        else:
-            # d/dx sum b_k x^k for k = 1..n, times the sign of the sum
-            inner = np.concatenate(([0.0], rf.denominator))
-            dq = np.sign(s) * polyval(polyder(inner), x)
-    return (dp * q - p * dq) / (q * q)
+def grad_input_batch(rf: RationalFunction, xs) -> np.ndarray:
+    """Elementwise dR/dx by the quotient rule, with dQ/dx = dQ/dT * T'(x).
 
-
-def grad_input(rf: RationalFunction, x: float) -> float:
-    """dR/dx by the quotient rule.
-
-    At the safe variant's kink (inner sum exactly zero) the subgradient 0 is
-    used for d|S|/dS, so the denominator contributes nothing there.
+    At the safe variant's kink (T exactly zero) the subgradient 0 is used
+    for d|T|/dT, so the denominator contributes nothing there.
     """
-    return float(_grad_input_array(rf, np.asarray(float(x))))
+    x = np.asarray(xs, dtype=float)
+    q, t = _denominator_parts(rf, x)
+    dq = _dq_dt(rf, t) * polyval(polyder(inner_poly(rf)), x)
+    return (polyval(polyder(rf.numerator), x) * q - polyval(rf.numerator, x) * dq) / (q * q)
 
 
-def grad_coeffs(rf: RationalFunction, x: float):
-    """Partial derivatives of R(x) with respect to every coefficient.
+def coeff_powers(rf: RationalFunction, x: np.ndarray):
+    """Power matrices x_i^j over a flat x, one column per coefficient.
 
-    Returns (d/da_j for j=0..m, d/db_k) where the denominator vector matches
-    the variant's stored layout (k=0..n raw, k=1..n safe).
+    The numerator's columns are j = 0..m.  The denominator's are the stored
+    ones: j = 0..n raw, j = 1..n safe.
     """
-    x = float(x)
-    p = float(polyval(rf.numerator, x))
-    q, s = _denominator_parts(rf, np.asarray(x))
-    q = float(q)
-    if rf.variant == RAW:
-        _check_poles(np.asarray(q), np.asarray(x))
-        powers = x ** np.arange(rf.denominator.size, dtype=float)
-        d_den = -p * powers / q**2
-    else:
-        powers = x ** np.arange(1, rf.denominator.size + 1, dtype=float)
-        d_den = -p * float(np.sign(s)) * powers / q**2
-    d_num = x ** np.arange(rf.numerator.size, dtype=float) / q
-    return d_num, d_den
+    n = rf.n
+    return (np.vander(x, rf.m + 1, increasing=True),
+            np.vander(x, n + 1, increasing=True)[:, n + 1 - rf.denominator.size:])
+
+
+def coeff_jacobian(rf: RationalFunction, x: np.ndarray, powers) -> np.ndarray:
+    """Jacobian dR(x_i)/dtheta_j over a flat x.
+
+    The columns are the numerator's coefficients, then the stored
+    denominator's.  ``powers`` is ``coeff_powers(rf, x)``; it depends only
+    on x and the degrees, so a caller differentiating many coefficient
+    vectors on one grid builds it once.
+    """
+    num_powers, den_powers = powers
+    q, t = _denominator_parts(rf, x)
+    d_den = -polyval(rf.numerator, x) * _dq_dt(rf, t) / (q * q)
+    return np.hstack((num_powers / q[:, None], den_powers * d_den[:, None]))
 
 
 def grad_coeffs_batch(rf: RationalFunction, xs: np.ndarray, upstream: np.ndarray):
@@ -235,23 +228,29 @@ def grad_coeffs_batch(rf: RationalFunction, xs: np.ndarray, upstream: np.ndarray
 
     This is the workhorse for training: with upstream = dLoss/dR(x_i) it
     yields the loss gradient for every stored coefficient in one pass.
+    Returns (d/da_j for j=0..m, d/db_k) where the denominator vector matches
+    the variant's stored layout (k=0..n raw, k=1..n safe).
     """
     x = np.ravel(np.asarray(xs, dtype=float))
     u = np.ravel(np.asarray(upstream, dtype=float))
     if x.shape != u.shape:
         raise ValueError("xs and upstream must have matching sizes")
     p = polyval(rf.numerator, x)
-    q, s = _denominator_parts(rf, x)
-    if rf.variant == RAW:
-        _check_poles(q, x)
-    num_powers = np.vander(x, rf.numerator.size, increasing=True)
-    d_num = (u / q) @ num_powers
-    if rf.denominator.size == 0:
-        return d_num, np.zeros(0)
-    if rf.variant == RAW:
-        den_powers = np.vander(x, rf.denominator.size, increasing=True)
-        d_den = (-u * p / q**2) @ den_powers
-    else:
-        den_powers = np.vander(x, rf.denominator.size + 1, increasing=True)[:, 1:]
-        d_den = (-u * p * np.sign(s) / q**2) @ den_powers
-    return d_num, d_den
+    q, t = _denominator_parts(rf, x)
+    num_powers, den_powers = coeff_powers(rf, x)
+    return (u / q) @ num_powers, (-u * p * _dq_dt(rf, t) / q**2) @ den_powers
+
+
+def evaluate(rf: RationalFunction, x: float) -> float:
+    """R(x) at a single point.  Raises PoleError when a raw Q(x) is zero."""
+    return float(eval_batch(rf, float(x)))
+
+
+def grad_input(rf: RationalFunction, x: float) -> float:
+    """dR/dx at a single point; see grad_input_batch."""
+    return float(grad_input_batch(rf, float(x)))
+
+
+def grad_coeffs(rf: RationalFunction, x: float):
+    """Partial derivatives of R(x) at a single point; see grad_coeffs_batch."""
+    return grad_coeffs_batch(rf, [float(x)], [1.0])

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratnet.histogram import Histogram
-from ratnet.rational import (RAW, SAFE, PoleError, RationalFunction, eval_batch,
-                             evaluate, grad_coeffs, grad_coeffs_batch,
-                             grad_input, init_identity)
+from ratnet.rational import (RAW, SAFE, PoleError, RationalFunction,
+                             coeff_jacobian, coeff_powers, eval_batch, evaluate,
+                             grad_coeffs, grad_coeffs_batch, grad_input,
+                             init_identity)
 
 from conftest import central_diff, random_rational
 
@@ -84,12 +84,6 @@ class TestEvalBatch:
         rf = init_identity(5, 4)
         assert eval_batch(rf, [-1.0, 0.0, 2.0]).tolist() == [-1.0, 0.0, 2.0]
 
-    def test_tracker_records_before_eval(self):
-        rf = init_identity(5, 4)
-        tracker = Histogram()
-        eval_batch(rf, [0.1, 0.2, 5.0], tracker=tracker)
-        assert tracker.total == 3
-
     def test_pole_error_carries_index(self):
         rf = RationalFunction([1.0], [1.0, 1.0], RAW)
         with pytest.raises(PoleError) as err:
@@ -111,13 +105,13 @@ class TestGradInput:
             rf = random_rational(rng, m, n, variant)
             count = 0
             for x in rng.uniform(-3, 3, 400):
-                q, s = _den_parts(rf, x)
+                q, t = _den_parts(rf, x)
                 # near a raw pole the FD truncation error itself blows up, so
                 # the oracle is only meaningful away from it; the safe guard
                 # avoids the |.| kink where the subgradient is a convention
                 if abs(q) < 1e-1:
                     continue
-                if s is not None and rf.denominator.size > 0 and abs(s) < 1e-6:
+                if _at_kink(rf, t):
                     continue
                 expected = central_diff(lambda v: evaluate(rf, v), x)
                 got = grad_input(rf, x)
@@ -146,12 +140,12 @@ class TestGradCoeffs:
     def test_matches_finite_differences(self, rng):
         for _ in range(20):
             m = int(rng.integers(1, 6))
-            n = int(rng.integers(1, 5))
+            n = int(rng.integers(0, 5))
             variant = SAFE if rng.random() < 0.5 else RAW
             rf = random_rational(rng, m, n, variant)
             x = float(rng.uniform(-3, 3))
-            q, s = _den_parts(rf, x)
-            if abs(q) < 1e-2 or (s is not None and abs(s) < 1e-6):
+            q, t = _den_parts(rf, x)
+            if abs(q) < 1e-2 or _at_kink(rf, t):
                 continue
             d_num, d_den = grad_coeffs(rf, x)
             for j in range(rf.numerator.size):
@@ -184,10 +178,29 @@ class TestGradCoeffs:
         np.testing.assert_allclose(d_den, ref_den, rtol=1e-12, atol=1e-12)
 
 
+    @pytest.mark.parametrize("variant", [RAW, SAFE])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_jacobian_contracts_to_batch_gradient(self, rng, variant, n):
+        rf = random_rational(rng, 4, n, variant)
+        xs = rng.uniform(-2, 2, 50)
+        u = rng.normal(size=50)
+        jac = coeff_jacobian(rf, xs, coeff_powers(rf, xs))
+        assert jac.shape == (50, rf.numerator.size + rf.denominator.size)
+        np.testing.assert_allclose(u @ jac, np.concatenate(grad_coeffs_batch(rf, xs, u)),
+                                   rtol=1e-12, atol=1e-12)
+
+
 def _den_parts(rf, x):
+    """(Q(x), T(x)) for the denominator's polynomial part T."""
     from ratnet.rational import _denominator_parts
-    q, s = _denominator_parts(rf, np.asarray(float(x)))
-    return float(q), None if s is None else float(s)
+    q, t = _denominator_parts(rf, np.asarray(float(x)))
+    return float(q), float(t)
+
+
+def _at_kink(rf, t):
+    """A safe T near zero, where d|T|/dT is a convention; an empty safe
+    denominator has T = 0 everywhere and no kink."""
+    return rf.variant == SAFE and rf.denominator.size > 0 and abs(t) < 1e-6
 
 
 def test_json_roundtrip(rng):

@@ -1,0 +1,48 @@
+"""Smoke tests: each experiment script runs end to end at tiny sizes."""
+
+import json
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, *argv):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+
+
+def test_fit_reference_profiles(monkeypatch, capsys, tmp_path):
+    run_script(monkeypatch, "fit_reference_profiles.py", "--refs", "tanh",
+               "--out", str(tmp_path))
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tanh       mse=")
+    assert "converged=True" in lines[0]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary) == ["tanh"] and summary["tanh"] <= 1e-6
+    assert json.loads((tmp_path / "tanh" / "rational.json").read_text())["variant"] == "safe"
+    profile = (tmp_path / "tanh" / "fit_profile.csv").read_text().splitlines()
+    assert profile[0] == "x,target,fitted" and len(profile) == 1001
+
+
+def test_gridworld_dqn(monkeypatch, capsys):
+    run_script(monkeypatch, "gridworld_dqn.py", "--activations", "rational,lrelu",
+               "--steps", "50")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("value-iteration optimum 2.00, random policy ")
+    assert lines[1] == ""
+    assert lines[2].split() == ["activation", "return", "normalized"]
+    assert [line.split()[0] for line in lines[3:]] == ["rational", "lrelu"]
+    assert all(line.endswith("%") for line in lines[3:])
+
+
+def test_spirals_experiment(monkeypatch, capsys):
+    run_script(monkeypatch, "spirals_experiment.py", "--epochs", "1",
+               "--samples", "10", "--hidden", "4,4")
+    out = capsys.readouterr().out
+    for activation in ("rational", "shared-rational", "lrelu"):
+        assert f"\n{activation:16s} final train accuracy " in "\n" + out
+    assert "pairwise activation distances of the per-layer rational net:" in out
+    assert out.rstrip().splitlines()[-1].startswith("suggested sharing at threshold 0.05: [")
+
