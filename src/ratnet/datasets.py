@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SPIRAL_TURNS = 1.5  # revolutions each spiral arm makes
+
 
 @dataclass
 class Dataset:
@@ -31,11 +33,11 @@ def make_blobs(n_per_class: int = 100, separation: float = 4.0,
 
 
 def make_two_spirals(n_per_class: int = 100, noise: float = 0.05,
-                     turns: float = 1.5, seed: int = 0) -> Dataset:
+                     seed: int = 0) -> Dataset:
     """Classic interleaved-spirals benchmark, scaled into roughly [-1, 1]^2."""
     rng = np.random.default_rng(seed)
-    t = np.sqrt(rng.uniform(0.05, 1.0, size=n_per_class)) * turns * 2.0 * np.pi
-    r = t / (turns * 2.0 * np.pi)
+    t = np.sqrt(rng.uniform(0.05, 1.0, size=n_per_class)) * SPIRAL_TURNS * 2.0 * np.pi
+    r = t / (SPIRAL_TURNS * 2.0 * np.pi)
     x0 = np.column_stack([r * np.cos(t), r * np.sin(t)])
     x1 = -x0
     x0 = x0 + rng.normal(0.0, noise, size=x0.shape)

@@ -90,13 +90,19 @@ def integrate_abs_diff(f1, f2, rp: AffineReparam, domain=(-3.0, 3.0),
     y2 = np.asarray(f2(rp.c * xs + rp.d), dtype=float)
     if not (np.all(np.isfinite(y1)) and np.all(np.isfinite(y2))):
         raise ValueError("function values must be finite on the domain")
-    integrand = np.abs(y1 - (rp.a * y2 + rp.b))
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != xs.shape:
             raise ValueError("weights must match the quadrature nodes")
-        integrand = integrand * weights
-    return float(w @ integrand)
+        w = w * weights
+    return _gap(w, y1, rp.a, rp.b, y2)
+
+
+def _gap(w, y1, a, b, g) -> float:
+    """Weighted L1 gap sum(w * |y1 - (a*g + b)|); inf when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float((w * np.abs(y1 - (a * g + b))).sum())
+    return total if np.isfinite(total) else np.inf
 
 
 def _solve_affine_ls(y1, g, w):
@@ -172,19 +178,13 @@ def _minimize(f1, f2, cfg: DistanceConfig, density=None):
     if not np.all(np.isfinite(y1)):
         raise ValueError("f1 must be finite on the domain")
 
-    def gap(a, b, g) -> float:
-        """Weighted L1 gap to a*g + b, for g = f2(c*xs + d) in hand."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float((w * np.abs(y1 - (a * g + b))).sum())
-        return total if np.isfinite(total) else np.inf
-
     def objective(params) -> float:
         a, b, c, d = params
         try:
             g = np.asarray(f2(c * xs + d), dtype=float)
         except PoleError:
             return np.inf
-        return gap(a, b, g)
+        return _gap(w, y1, a, b, g)
 
     cells = []
     for c in C_GRID:
@@ -196,7 +196,7 @@ def _minimize(f1, f2, cfg: DistanceConfig, density=None):
             if not np.all(np.isfinite(g)):
                 continue
             a, b = _solve_affine_ls(y1, g, w)
-            val = gap(a, b, g)
+            val = _gap(w, y1, a, b, g)
             if np.isfinite(val):
                 cells.append((val, len(cells), np.array([a, b, c, d])))
     if not cells:

@@ -49,6 +49,9 @@ class FixedActivation:
                    grad=lambda x: reference_grad(ref, x),
                    ref=ref)
 
+    def __call__(self, x):
+        return np.asarray(self.fn(x), dtype=float)
+
 
 class ActivationSlot:
     """One activation function plus the sites that use it."""
@@ -74,9 +77,7 @@ class ActivationSlot:
     def apply(self, z: np.ndarray, track: bool = True) -> np.ndarray:
         if track and self.histogram is not None:
             self.histogram.observe(z)
-        if self.trainable:
-            return self.activation(z)
-        return np.asarray(self.activation.fn(z), dtype=float)
+        return self.activation(z)
 
     def input_grad(self, z: np.ndarray) -> np.ndarray:
         if self.trainable:
@@ -87,9 +88,7 @@ class ActivationSlot:
         return np.asarray(self.activation.grad(z), dtype=float)
 
     def as_callable(self) -> Callable:
-        if self.trainable:
-            return self.activation
-        return self.activation.fn
+        return self.activation
 
 
 @dataclass
@@ -294,57 +293,66 @@ class TrainConfig:
             raise ValueError("optimizer must be 'sgd' or 'adam'")
 
 
+def parameters(net: NetworkSpec, grads: Gradients | None = None):
+    """Yield (name, array, gradient or None) for every trained array.
+
+    The order is each layer's weights then biases, then each trainable slot
+    by sorted id, numerator then denominator; this is the one place that
+    fixes it.  A slot shared across sites is one entry.
+    """
+    for i, layer in enumerate(net.layers):
+        d_w, d_b = grads.layers[i] if grads is not None else (None, None)
+        yield f"layers[{i}].weights", layer.weights, d_w
+        yield f"layers[{i}].biases", layer.biases, d_b
+    for sid in sorted(net.slots):
+        if net.slots[sid].trainable:
+            rf = net.slots[sid].activation
+            d_num, d_den = grads.slots[sid] if grads is not None else (None, None)
+            yield f"slots[{sid}].numerator", rf.numerator, d_num
+            yield f"slots[{sid}].denominator", rf.denominator, d_den
+
+
 class Optimizer:
     """SGD-with-momentum or Adam over layer and slot parameters.
 
-    Slot parameters are keyed by slot id, so a slot shared across sites is
-    updated exactly once per step from its summed gradient.
+    The moments are two flat vectors over `parameters` order, so a slot
+    shared across sites is updated exactly once per step from its summed
+    gradient.
     """
 
     def __init__(self, net: NetworkSpec, cfg: TrainConfig):
         self.cfg = cfg
         self.t = 0
-        self._state: dict = {}
-        for i, layer in enumerate(net.layers):
-            self._state[("layer", i, "W")] = self._fresh(layer.weights)
-            self._state[("layer", i, "b")] = self._fresh(layer.biases)
-        for sid, slot in net.slots.items():
-            if slot.trainable:
-                self._state[("slot", sid, "num")] = self._fresh(slot.activation.numerator)
-                self._state[("slot", sid, "den")] = self._fresh(slot.activation.denominator)
-
-    def _fresh(self, param: np.ndarray) -> dict:
-        if self.cfg.optimizer == "sgd":
-            return {"v": np.zeros_like(param)}
-        return {"m": np.zeros_like(param), "v": np.zeros_like(param)}
-
-    def _apply(self, key, param: np.ndarray, grad: np.ndarray, path: str) -> None:
-        if not np.all(np.isfinite(grad)):
-            raise RuntimeError(f"non-finite gradient at {path}")
-        state = self._state[key]
-        cfg = self.cfg
-        if cfg.optimizer == "sgd":
-            state["v"] = MOMENTUM * state["v"] + grad
-            param -= cfg.learning_rate * state["v"]
-        else:
-            state["m"] = ADAM_BETA1 * state["m"] + (1 - ADAM_BETA1) * grad
-            state["v"] = ADAM_BETA2 * state["v"] + (1 - ADAM_BETA2) * grad * grad
-            m_hat = state["m"] / (1 - ADAM_BETA1 ** self.t)
-            v_hat = state["v"] / (1 - ADAM_BETA2 ** self.t)
-            param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        size = sum(param.size for _, param, _ in parameters(net))
+        self.m = np.zeros(size)  # Adam's first moment; SGD leaves it at 0
+        self.v = np.zeros(size)  # SGD velocity or Adam's second moment
 
     def step(self, net: NetworkSpec, grads: Gradients) -> None:
+        """One update; a non-finite gradient raises before any array moves."""
+        entries = list(parameters(net, grads))
+        for name, param, grad in entries:
+            if np.shape(grad) != param.shape:
+                raise ValueError(f"gradient for {name} has shape {np.shape(grad)}, "
+                                 f"expected {param.shape}")
+        grad = np.concatenate([np.ravel(g) for _, _, g in entries])
+        if not np.all(np.isfinite(grad)):
+            name = next(n for n, _, g in entries if not np.all(np.isfinite(g)))
+            raise RuntimeError(f"non-finite gradient at {name}")
         self.t += 1
-        for i, (d_w, d_b) in enumerate(grads.layers):
-            self._apply(("layer", i, "W"), net.layers[i].weights, d_w, f"layers[{i}].weights")
-            self._apply(("layer", i, "b"), net.layers[i].biases, d_b, f"layers[{i}].biases")
-        for sid in sorted(grads.slots):
-            d_num, d_den = grads.slots[sid]
-            rf = net.slots[sid].activation
-            self._apply(("slot", sid, "num"), rf.numerator, d_num, f"slots[{sid}].numerator")
-            if rf.denominator.size:
-                self._apply(("slot", sid, "den"), rf.denominator, d_den,
-                            f"slots[{sid}].denominator")
+        cfg = self.cfg
+        if cfg.optimizer == "sgd":
+            self.v = MOMENTUM * self.v + grad
+            update = cfg.learning_rate * self.v
+        else:
+            self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+            self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
+            m_hat = self.m / (1 - ADAM_BETA1 ** self.t)
+            v_hat = self.v / (1 - ADAM_BETA2 ** self.t)
+            update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        start = 0
+        for _, param, _ in entries:
+            param -= update[start:start + param.size].reshape(param.shape)
+            start += param.size
         net.version += 1
 
 
@@ -451,8 +459,8 @@ def apply_affine_equivalence(net: NetworkSpec, site_index: int, rp,
     return out
 
 
-def pairwise_layer_distances(net: NetworkSpec, cfg: DistanceConfig | None = None,
-                             histograms: list | None = None) -> np.ndarray:
+def pairwise_layer_distances(net: NetworkSpec,
+                             cfg: DistanceConfig | None = None) -> np.ndarray:
     """Symmetrized density-weighted distances between the sites' activations.
 
     Entry (i, j) weights the integrand by the merged normalized density of
@@ -467,12 +475,7 @@ def pairwise_layer_distances(net: NetworkSpec, cfg: DistanceConfig | None = None
     for slot in slots:
         if not slot.trainable:
             raise ValueError(f"slot {slot.slot_id!r} is not a rational activation")
-    if histograms is None:
-        histograms = [slot.histogram for slot in slots]
-    if len(histograms) != len(sites):
-        raise ValueError("need one histogram per activation site")
-    for slot, hist in zip(slots, histograms):
-        if hist is None or hist.in_range == 0:
+        if slot.histogram is None or slot.histogram.in_range == 0:
             raise ValueError(f"slot {slot.slot_id!r} has an empty histogram")
     k = len(sites)
     dist = np.zeros((k, k))
@@ -480,7 +483,7 @@ def pairwise_layer_distances(net: NetworkSpec, cfg: DistanceConfig | None = None
         fi = slots[i].as_callable()
         for j in range(i + 1, k):
             fj = slots[j].as_callable()
-            merged = histograms[i].merge(histograms[j])
+            merged = slots[i].histogram.merge(slots[j].histogram)
             vij, _ = rnd(fi, fj, merged, cfg)
             vji, _ = rnd(fj, fi, merged, cfg)
             dist[i, j] = dist[j, i] = min(vij, vji)
@@ -516,16 +519,13 @@ def xavier_normal(rng: np.random.Generator, out_size: int, in_size: int) -> np.n
 
 def build_dense_network(layer_sizes: list[int], activation: str = "rational",
                         degrees: tuple[int, int] = (5, 4), init: str = "lrelu",
-                        sharing: list[list[int]] | None = None, seed: int = 0,
-                        track_inputs: bool = False) -> NetworkSpec:
+                        seed: int = 0, track_inputs: bool = False) -> NetworkSpec:
     """Construct a dense network with activations after every hidden layer.
 
     ``activation`` is "rational" (one trainable slot per site),
     "shared-rational" (one slot for all sites) or a reference name for fixed
     baselines.  Rational coefficients start at the identity or at the seeded
     leaky-ReLU fit, matching how these networks are initialized in practice.
-    ``sharing`` optionally groups consecutive sites into shared slots, e.g.
-    [[0, 1], [2]] shares one rational across the first two sites.
     """
     if len(layer_sizes) < 2:
         raise ValueError("need at least an input and an output size")
@@ -544,13 +544,9 @@ def build_dense_network(layer_sizes: list[int], activation: str = "rational",
             proto, _ = fit(m, n, ReferenceActivation("lrelu"))
         else:
             raise ValueError("init must be 'identity' or 'lrelu'")
-        if sharing is None:
-            sharing = [[i] for i in range(n_sites)] if activation == "rational" \
-                else [list(range(n_sites))]
-        covered = [i for group in sharing for i in group]
-        if sorted(covered) != list(range(n_sites)):
-            raise ValueError(f"sharing must partition the sites 0..{n_sites - 1}")
-        for group in sharing:
+        groups = [[i] for i in range(n_sites)] if activation == "rational" \
+            else [list(range(n_sites))]
+        for group in groups:
             sid = "r" + "_".join(str(i) for i in group)
             slots[sid] = ActivationSlot(sid, proto.copy(), track_inputs=track_inputs)
             for i in group:

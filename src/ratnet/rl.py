@@ -20,6 +20,10 @@ ACTIONS = ("up", "down", "left", "right")
 _MOVES = ((0, -1), (0, 1), (-1, 0), (1, 0))
 BATCH_SIZE = 32      # transitions per replay minibatch
 HUBER_DELTA = 1.0    # TD errors beyond +-HUBER_DELTA get a constant gradient
+# value iteration stops once a sweep moves no value by more than VALUE_TOL,
+# or after VALUE_MAX_ITERS sweeps
+VALUE_TOL = 1e-10
+VALUE_MAX_ITERS = 100000
 
 
 @dataclass
@@ -111,38 +115,35 @@ class GridWorld:
         return self.encode(self._pos), reward, done
 
 
-def value_iteration(env: GridWorld, gamma: float = 1.0, tol: float = 1e-10,
-                    max_iters: int = 100000) -> np.ndarray:
-    """Optimal state values V(s); the goal is terminal with V = 0."""
+def _backup(env: GridWorld, values: np.ndarray, cell, action: int) -> float:
+    """Undiscounted one-step Bellman backup; the goal is terminal with V = 0."""
+    nxt = env.next_cell(cell, action)
+    r = env.step_reward + (env.goal_reward if nxt == env.goal else 0.0)
+    v = 0.0 if nxt == env.goal else values[env.state_index(nxt)]
+    return r + v
+
+
+def value_iteration(env: GridWorld) -> np.ndarray:
+    """Optimal undiscounted state values V(s); the goal is terminal with V = 0."""
     values = np.zeros(env.n_states)
     cells = [(x, y) for y in range(env.height) for x in range(env.width)
              if (x, y) not in env.walls and (x, y) != env.goal]
-    for _ in range(max_iters):
+    for _ in range(VALUE_MAX_ITERS):
         delta = 0.0
         for cell in cells:
-            best = -np.inf
-            for a in range(env.n_actions):
-                nxt = env.next_cell(cell, a)
-                r = env.step_reward + (env.goal_reward if nxt == env.goal else 0.0)
-                v = 0.0 if nxt == env.goal else values[env.state_index(nxt)]
-                best = max(best, r + gamma * v)
+            best = max(_backup(env, values, cell, a) for a in range(env.n_actions))
             i = env.state_index(cell)
             delta = max(delta, abs(values[i] - best))
             values[i] = best
-        if delta <= tol:
+        if delta <= VALUE_TOL:
             break
     return values
 
 
-def greedy_policy_from_values(env: GridWorld, values: np.ndarray, gamma: float = 1.0):
+def greedy_policy_from_values(env: GridWorld, values: np.ndarray):
     def policy(cell) -> int:
-        scores = []
-        for a in range(env.n_actions):
-            nxt = env.next_cell(cell, a)
-            r = env.step_reward + (env.goal_reward if nxt == env.goal else 0.0)
-            v = 0.0 if nxt == env.goal else values[env.state_index(nxt)]
-            scores.append(r + gamma * v)
-        return int(np.argmax(scores))
+        return int(np.argmax([_backup(env, values, cell, a)
+                              for a in range(env.n_actions)]))
     return policy
 
 
@@ -158,10 +159,9 @@ def rollout_return(env: GridWorld, policy) -> float:
     return total
 
 
-def optimal_return(env: GridWorld, gamma: float = 1.0) -> float:
+def optimal_return(env: GridWorld) -> float:
     """Episode return of the value-iteration-optimal policy from start."""
-    values = value_iteration(env, gamma)
-    return rollout_return(env, greedy_policy_from_values(env, values, gamma))
+    return rollout_return(env, greedy_policy_from_values(env, value_iteration(env)))
 
 
 def random_return(env: GridWorld, rng: np.random.Generator,

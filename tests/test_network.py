@@ -253,6 +253,41 @@ class TestStep:
         with pytest.raises(RuntimeError, match=r"layers\[0\]\.weights"):
             Optimizer(net, TrainConfig(learning_rate=0.1)).step(net, grads)
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_nonfinite_gradient_updates_nothing(self, rng, optimizer):
+        # the bad value sits in the last array of the update order, so a step
+        # that updates as it checks would already have moved everything else
+        net = build_dense_network([3, 4, 4, 2], activation="rational",
+                                  init="identity", seed=0)
+        assert sorted(net.slots) == ["r0", "r1"]
+        out, cache = forward(net, rng.normal(size=(5, 3)))
+        grads = backward(net, cache, rng.normal(size=out.shape))
+        grads.slots["r1"][1][-1] = np.nan
+        before = clone_network(net)
+        opt = Optimizer(net, TrainConfig(learning_rate=0.1, optimizer=optimizer))
+        with pytest.raises(RuntimeError, match=r"slots\[r1\]\.denominator"):
+            opt.step(net, grads)
+        for l0, l1 in zip(before.layers, net.layers):
+            assert np.array_equal(l0.weights, l1.weights)
+            assert np.array_equal(l0.biases, l1.biases)
+        for sid in net.slots:
+            a0, a1 = before.slots[sid].activation, net.slots[sid].activation
+            assert np.array_equal(a0.numerator, a1.numerator)
+            assert np.array_equal(a0.denominator, a1.denominator)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_empty_denominator_slot_steps(self, rng, optimizer):
+        net = tiny_net(rng.normal(size=(3, 2)), rng.normal(size=3),
+                       init_identity(3, 0))
+        rf = net.slots["s0"].activation
+        assert rf.denominator.size == 0
+        before = rf.numerator.copy()
+        out, cache = forward(net, rng.normal(size=(6, 2)))
+        grads = backward(net, cache, rng.normal(size=out.shape))
+        Optimizer(net, TrainConfig(learning_rate=0.1, optimizer=optimizer)).step(net, grads)
+        assert not np.array_equal(rf.numerator, before)
+        assert rf.denominator.size == 0
+
 
 class TestAffineEquivalence:
     def test_double_identity_halves_next_layer(self, rng):

@@ -5,6 +5,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -46,3 +48,17 @@ def test_spirals_experiment(monkeypatch, capsys):
     assert "pairwise activation distances of the per-layer rational net:" in out
     assert out.rstrip().splitlines()[-1].startswith("suggested sharing at threshold 0.05: [")
 
+
+
+def test_cli_digest(monkeypatch, capsys):
+    invocation = "fit --ref tanh --m 3 --n 2 --max-iters 50 --seed 1"
+    runs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            run_script(monkeypatch, "cli_digest.py", invocation)
+        assert exit_info.value.code == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    digest, argv = runs[0][0].split("  ", 1)
+    assert len(runs[0]) == 1 and argv == invocation
+    assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+    assert runs[0] == runs[1]
