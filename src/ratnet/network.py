@@ -18,8 +18,8 @@ import numpy as np
 from .distance import DistanceConfig, rnd
 from .fitting import ReferenceActivation, fit, reference_eval, reference_grad
 from .histogram import Histogram
-from .rational import (RationalFunction, grad_coeffs_batch, grad_input_batch,
-                       init_identity)
+from .rational import (RationalFunction, eval_parts, grad_coeffs_batch,
+                       grad_input_batch, init_identity)
 
 # optimizer coefficients: SGD momentum and Adam's moment decays and epsilon
 MOMENTUM = 0.9
@@ -74,14 +74,18 @@ class ActivationSlot:
     def trainable(self) -> bool:
         return isinstance(self.activation, RationalFunction)
 
-    def apply(self, z: np.ndarray, track: bool = True) -> np.ndarray:
+    def apply(self, z: np.ndarray, track: bool = True):
+        """The activation's value at z and, for a rational, the (p, q, t)
+        that the gradients at the same z can reuse (None otherwise)."""
         if track and self.histogram is not None:
             self.histogram.observe(z)
-        return self.activation(z)
-
-    def input_grad(self, z: np.ndarray) -> np.ndarray:
         if self.trainable:
-            return grad_input_batch(self.activation, z)
+            return eval_parts(self.activation, z)
+        return self.activation(z), None
+
+    def input_grad(self, z: np.ndarray, parts=None) -> np.ndarray:
+        if self.trainable:
+            return grad_input_batch(self.activation, z, parts)
         if self.activation.grad is None:
             raise ValueError(f"slot {self.slot_id!r} has no derivative; "
                              "it cannot be trained through")
@@ -213,6 +217,8 @@ class ForwardCache:
     outputs: np.ndarray
     net_id: int
     version: int
+    activations: list   # the activation object each site evaluated, or None
+    parts: list         # (p, q, t) of each rational site, else None
 
 
 @dataclass
@@ -232,13 +238,17 @@ def forward(net: NetworkSpec, batch, track: bool = True):
         raise ValueError(f"batch has {h.shape[1]} features, network expects {net.in_size}")
     inputs = []
     pre_acts = []
+    activations = []
+    parts = []
     for i, layer in enumerate(net.layers):
         inputs.append(h)
         z = h @ layer.weights.T + layer.biases
         pre_acts.append(z)
         slot = net.slot_at(i)
-        h = slot.apply(z, track=track) if slot is not None else z
-    return h, ForwardCache(inputs, pre_acts, h, id(net), net.version)
+        activations.append(None if slot is None else slot.activation)
+        h, site_parts = slot.apply(z, track=track) if slot is not None else (z, None)
+        parts.append(site_parts)
+    return h, ForwardCache(inputs, pre_acts, h, id(net), net.version, activations, parts)
 
 
 def backward(net: NetworkSpec, cache: ForwardCache, loss_grad) -> Gradients:
@@ -247,8 +257,16 @@ def backward(net: NetworkSpec, cache: ForwardCache, loss_grad) -> Gradients:
     ``loss_grad`` is dLoss/dOutputs with the outputs' shape.  Coefficient
     gradients of a slot referenced at several sites are summed over sites,
     which is the standard weight-sharing rule.
+
+    The rational sites reuse the (p, q, t) that forward evaluated.  A cache
+    is stale, and raises, once an optimizer step ran or a slot's activation
+    was replaced since forward; coefficients edited in place are not
+    detected.
     """
-    if cache.net_id != id(net) or cache.version != net.version:
+    live = [None if slot is None else slot.activation
+            for slot in map(net.slot_at, range(len(net.layers)))]
+    if (cache.net_id != id(net) or cache.version != net.version
+            or any(a is not b for a, b in zip(live, cache.activations))):
         raise ValueError("stale forward cache: the network changed since forward()")
     delta = np.asarray(loss_grad, dtype=float)
     if delta.shape != cache.outputs.shape:
@@ -263,12 +281,13 @@ def backward(net: NetworkSpec, cache: ForwardCache, loss_grad) -> Gradients:
         slot = net.slot_at(i)
         z = cache.pre_acts[i]
         if slot is not None:
+            site_parts = cache.parts[i]
             if slot.trainable:
-                d_num, d_den = grad_coeffs_batch(slot.activation, z, delta)
+                d_num, d_den = grad_coeffs_batch(slot.activation, z, delta, site_parts)
                 acc_num, acc_den = slot_grads[slot.slot_id]
                 acc_num += d_num
                 acc_den += d_den
-            delta = delta * slot.input_grad(z)
+            delta = delta * slot.input_grad(z, site_parts)
         layer = net.layers[i]
         layer_grads[i] = (delta.T @ cache.inputs[i], delta.sum(axis=0))
         if i > 0:

@@ -86,7 +86,7 @@ class RationalFunction:
 
     def __call__(self, x):
         """Vectorized evaluation; preserves the input shape."""
-        return _eval_array(self, np.asarray(x, dtype=float))
+        return eval_parts(self, np.asarray(x, dtype=float))[0]
 
     def copy(self) -> "RationalFunction":
         return RationalFunction(self.numerator.copy(), self.denominator.copy(), self.variant)
@@ -170,9 +170,15 @@ def _check_poles(q: np.ndarray, x: np.ndarray) -> None:
         raise PoleError(xi, index=i if np.size(x) > 1 else None)
 
 
-def _eval_array(rf: RationalFunction, x: np.ndarray) -> np.ndarray:
-    q, _ = _denominator_parts(rf, x)
-    return polyval(rf.numerator, x) / q
+def eval_parts(rf: RationalFunction, x: np.ndarray):
+    """R(x) over an array x, with the (P(x), Q(x), T(x)) it divides.
+
+    The gradients take these parts to skip evaluating the polynomials again
+    at the same x; a raw Q is checked for poles here.
+    """
+    q, t = _denominator_parts(rf, x)
+    p = polyval(rf.numerator, x)
+    return p / q, (p, q, t)
 
 
 def eval_batch(rf: RationalFunction, xs) -> np.ndarray:
@@ -183,30 +189,46 @@ def eval_batch(rf: RationalFunction, xs) -> np.ndarray:
     x = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("inputs must be finite")
-    return _eval_array(rf, x)
+    return eval_parts(rf, x)[0]
 
 
-def grad_input_batch(rf: RationalFunction, xs) -> np.ndarray:
+def grad_input_batch(rf: RationalFunction, xs, parts=None) -> np.ndarray:
     """Elementwise dR/dx by the quotient rule, with dQ/dx = dQ/dT * T'(x).
 
     At the safe variant's kink (T exactly zero) the subgradient 0 is used
-    for d|T|/dT, so the denominator contributes nothing there.
+    for d|T|/dT, so the denominator contributes nothing there.  ``parts``
+    is the (p, q, t) that ``eval_parts`` returned for the same xs; without
+    it they are evaluated here.
     """
     x = np.asarray(xs, dtype=float)
-    q, t = _denominator_parts(rf, x)
+    p, q, t = eval_parts(rf, x)[1] if parts is None else parts
     dq = _dq_dt(rf, t) * polyval(polyder(inner_poly(rf)), x)
-    return (polyval(polyder(rf.numerator), x) * q - polyval(rf.numerator, x) * dq) / (q * q)
+    return (polyval(polyder(rf.numerator), x) * q - p * dq) / (q * q)
+
+
+def power_matrix(x: np.ndarray, k: int) -> np.ndarray:
+    """x_i^j for j = 0..k-1 over a flat x, one column per power.
+
+    Each column is the previous one times x, the same products in the same
+    order as np.vander(x, k, increasing=True), so the two are bitwise equal.
+    """
+    v = np.empty((x.size, k))
+    if k:
+        v[:, 0] = 1.0
+    for j in range(1, k):
+        np.multiply(v[:, j - 1], x, out=v[:, j])
+    return v
 
 
 def coeff_powers(rf: RationalFunction, x: np.ndarray):
     """Power matrices x_i^j over a flat x, one column per coefficient.
 
     The numerator's columns are j = 0..m.  The denominator's are the stored
-    ones: j = 0..n raw, j = 1..n safe.
+    ones: j = 0..n raw, j = 1..n safe.  Both are slices of one power matrix.
     """
     n = rf.n
-    return (np.vander(x, rf.m + 1, increasing=True),
-            np.vander(x, n + 1, increasing=True)[:, n + 1 - rf.denominator.size:])
+    v = power_matrix(x, max(rf.m, n) + 1)
+    return v[:, :rf.m + 1], v[:, n + 1 - rf.denominator.size:n + 1]
 
 
 def coeff_jacobian(rf: RationalFunction, x: np.ndarray, powers) -> np.ndarray:
@@ -223,20 +245,22 @@ def coeff_jacobian(rf: RationalFunction, x: np.ndarray, powers) -> np.ndarray:
     return np.hstack((num_powers / q[:, None], den_powers * d_den[:, None]))
 
 
-def grad_coeffs_batch(rf: RationalFunction, xs: np.ndarray, upstream: np.ndarray):
+def grad_coeffs_batch(rf: RationalFunction, xs: np.ndarray, upstream: np.ndarray,
+                      parts=None):
     """Accumulated coefficient gradients sum_i upstream_i * dR/dtheta(x_i).
 
     This is the workhorse for training: with upstream = dLoss/dR(x_i) it
     yields the loss gradient for every stored coefficient in one pass.
     Returns (d/da_j for j=0..m, d/db_k) where the denominator vector matches
-    the variant's stored layout (k=0..n raw, k=1..n safe).
+    the variant's stored layout (k=0..n raw, k=1..n safe).  ``parts`` is
+    the (p, q, t) that ``eval_parts`` returned for the same xs; without it
+    they are evaluated here.
     """
     x = np.ravel(np.asarray(xs, dtype=float))
     u = np.ravel(np.asarray(upstream, dtype=float))
     if x.shape != u.shape:
         raise ValueError("xs and upstream must have matching sizes")
-    p = polyval(rf.numerator, x)
-    q, t = _denominator_parts(rf, x)
+    p, q, t = eval_parts(rf, x)[1] if parts is None else map(np.ravel, parts)
     num_powers, den_powers = coeff_powers(rf, x)
     return (u / q) @ num_powers, (-u * p * _dq_dt(rf, t) / q**2) @ den_powers
 

@@ -162,6 +162,17 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(net, cache, np.ones_like(out))
 
+    def test_replaced_activation_rejected(self, rng):
+        # backward reuses the polynomials forward evaluated, so a slot whose
+        # function was swapped since forward must not be differentiated
+        net = build_dense_network([2, 3, 2], seed=0, init="identity")
+        x = rng.normal(size=(4, 2))
+        out, cache = forward(net, x)
+        slot = net.slot_at(0)
+        slot.activation = random_rational(rng, 5, 4)
+        with pytest.raises(ValueError, match="stale forward cache"):
+            backward(net, cache, np.ones_like(out))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_parameter_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)

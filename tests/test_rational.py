@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratnet.network import ActivationSlot
 from ratnet.rational import (RAW, SAFE, PoleError, RationalFunction,
-                             coeff_jacobian, coeff_powers, eval_batch, evaluate,
-                             grad_coeffs, grad_coeffs_batch, grad_input,
-                             init_identity)
+                             coeff_jacobian, coeff_powers, eval_batch, eval_parts,
+                             evaluate, grad_coeffs, grad_coeffs_batch, grad_input,
+                             grad_input_batch, init_identity, power_matrix)
 
 from conftest import central_diff, random_rational
 
@@ -188,6 +189,48 @@ class TestGradCoeffs:
         assert jac.shape == (50, rf.numerator.size + rf.denominator.size)
         np.testing.assert_allclose(u @ jac, np.concatenate(grad_coeffs_batch(rf, xs, u)),
                                    rtol=1e-12, atol=1e-12)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestPowerMatrix:
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("x", [
+        np.zeros(0),
+        np.array([0.0, -0.0, -1.5, 2.0, -3.25, 1e-3, -7.0]),
+        # the higher powers overflow to inf of both signs
+        np.array([1e50, -1e50, 3e200, -2e300, 1.0]),
+        np.random.default_rng(0).normal(scale=3.0, size=500),
+    ], ids=["empty", "zeros_and_negatives", "overflow", "random"])
+    def test_bitwise_equals_vander(self, k, x):
+        with np.errstate(over="ignore"):
+            got = power_matrix(x, k)
+            want = np.vander(x, k, increasing=True)
+        assert _same_bits(got, want)
+
+
+class TestForwardParts:
+    """Gradients given the forward's (p, q, t) are the gradients without
+    them, bit for bit."""
+
+    @pytest.mark.parametrize("variant", [RAW, SAFE])
+    def test_parts_path_matches_wrappers(self, rng, variant):
+        rf = random_rational(rng, 5, 4, variant)
+        z = rng.normal(size=(32, 16))
+        u = rng.normal(size=(32, 16))
+        value, parts = eval_parts(rf, z)
+        assert _same_bits(value, eval_batch(rf, z))
+        for got, want in zip(grad_coeffs_batch(rf, z, u, parts),
+                             grad_coeffs_batch(rf, z, u)):
+            assert _same_bits(got, want)
+        assert _same_bits(grad_input_batch(rf, z, parts), grad_input_batch(rf, z))
+        slot = ActivationSlot("r", rf)
+        value, slot_parts = slot.apply(z)
+        assert _same_bits(value, rf(z))
+        assert _same_bits(slot.input_grad(z, slot_parts), slot.input_grad(z))
 
 
 def _den_parts(rf, x):
