@@ -14,12 +14,19 @@ can read what an earlier one wrote.  `{tmp}/ident.json` holds the raw
 identity rational of degrees (1, 0) before the first invocation runs.
 With no arguments, a fixed list covering all six subcommands runs.
 
+`--check FILE` compares the lines with a digest saved from an earlier run
+instead of printing them: it prints only the lines that differ, as a
+unified diff, and exits 1 when any do.
+
     python scripts/cli_digest.py
     python scripts/cli_digest.py "fit --ref tanh --seed 1" "rl --steps 300"
+    python scripts/cli_digest.py > digest.txt   # on the base checkout
+    python scripts/cli_digest.py --check digest.txt   # on the changed one
 """
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -73,9 +80,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("invocations", nargs="*", default=INVOCATIONS)
+    ap.add_argument("--check", metavar="FILE",
+                    help="print only the lines that differ from this saved digest")
     args = ap.parse_args()
 
     failed = 0
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         ident = init_identity(1, 0, variant=RAW).to_dict()
         Path(tmp, "ident.json").write_text(json.dumps(ident))
@@ -87,7 +97,16 @@ def main() -> int:
                     contextlib.redirect_stderr(io.StringIO()):
                 failed += cli.main([*argv, "--out", str(out_dir)]) != 0
             text = stdout.getvalue().replace(tmp, "{tmp}")
-            print(f"{digest(text, out_dir)}  {' '.join(shlex.split(line))}", flush=True)
+            lines.append(f"{digest(text, out_dir)}  {' '.join(shlex.split(line))}")
+            if not args.check:
+                print(lines[-1], flush=True)
+    if args.check:
+        saved = Path(args.check).read_text().splitlines()
+        diff = list(difflib.unified_diff(saved, lines, args.check, "this run",
+                                         lineterm="", n=0))
+        if diff:
+            print(*diff, sep="\n")
+            failed += 1
     return 1 if failed else 0
 
 

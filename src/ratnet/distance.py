@@ -9,15 +9,24 @@ input density so rarely-visited parts of the domain matter less.
 
 Minimization runs in three stages: a coarse grid over (c, d), a closed-form
 weighted least-squares solve for (a, b) inside each grid cell, and a local
-Nelder-Mead polish of all four parameters from the best cell.  The simplex
+Nelder-Mead polish of all four parameters from the best cells.  The simplex
 search is written here rather than borrowed so its trajectory depends only
 on objective comparisons; scaling the integrand by a positive constant then
 provably cannot change the minimizer, which is what makes the uniform-density
 rnd agree with nd up to the domain length exactly.
+
+f2 is evaluated on many reparameterizations at once: each call gets a
+(rows, quad_points) array of c*x + d, at most MAX_ROWS rows, so f2 must act
+elementwise on an array of any shape.  The grid goes through in blocks of
+rows, and the polish starts run as simplices in lockstep, each round making
+one call over the points every live simplex asks for.  Every value is
+computed by the same elementwise operations and per-row sums as one row at
+a time, so batching moves no bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +61,13 @@ D_GRID = np.linspace(-3.0, 3.0, 13)
 REFINE_STARTS = 8   # how many best grid cells seed the simplex search
 RESTARTS = 2        # simplex re-initializations per start
 SIMPLEX_TOL = 1e-8  # relative f-spread at which a simplex counts as converged
+# most rows one f2 call evaluates.  All 442 grid cells in one call would take
+# ~7 MiB per temporary array and raise the peak memory by tens of MiB.  At
+# 2001 nodes, 4 rows make 64 KB temporaries; 8 rows make 128 KB ones, which
+# sit at glibc's 128 KiB heap-trim threshold, so their pages were returned
+# and faulted in again on most calls.  4 also splits the 8 polish starts'
+# points evenly.
+MAX_ROWS = 4
 
 
 @dataclass
@@ -95,14 +111,57 @@ def integrate_abs_diff(f1, f2, rp: AffineReparam, domain=(-3.0, 3.0),
         if weights.shape != xs.shape:
             raise ValueError("weights must match the quadrature nodes")
         w = w * weights
-    return _gap(w, y1, rp.a, rp.b, y2)
+    return float(_gaps(w, y1, np.array([rp.a]), np.array([rp.b]), y2[None])[0])
 
 
-def _gap(w, y1, a, b, g) -> float:
-    """Weighted L1 gap sum(w * |y1 - (a*g + b)|); inf when it overflows."""
+def _gaps(w, y1, a, b, g) -> np.ndarray:
+    """Weighted L1 gaps sum(w * |y1 - (a_i*g_i + b_i)|) of the rows g_i of
+    g, one (a_i, b_i) per row; inf where a sum is not finite.
+
+    Works in place on one (rows, nodes) temporary.  Each row takes the same
+    elementwise operations and the same pairwise sum as a 1-D row would.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float((w * np.abs(y1 - (a * g + b))).sum())
-    return total if np.isfinite(total) else np.inf
+        r = a[:, None] * g
+        r += b[:, None]
+        np.subtract(y1, r, out=r)
+        np.abs(r, out=r)
+        r *= w
+        totals = r.sum(axis=1)
+    totals[~np.isfinite(totals)] = np.inf
+    return totals
+
+
+def _f2_rows(f2, xs, c, d) -> np.ndarray:
+    """f2(c_i*xs + d_i) for every row i in one call.
+
+    When f2 raises PoleError the rows are evaluated one at a time, and a row
+    whose own call raises comes back all NaN, which scores as non-finite.
+    """
+    x = c[:, None] * xs
+    x += d[:, None]
+    try:
+        return np.asarray(f2(x), dtype=float)
+    except PoleError:
+        pass
+    g = np.full(x.shape, np.nan)
+    for i, row in enumerate(x):
+        try:
+            g[i] = f2(row)
+        except PoleError:
+            pass
+    return g
+
+
+def _point_gaps(f2, xs, w, y1, points) -> np.ndarray:
+    """The objective at every row (a, b, c, d) of points, MAX_ROWS rows per
+    f2 call; a row on a pole of f2 scores inf."""
+    values = np.empty(len(points))
+    for lo in range(0, len(points), MAX_ROWS):
+        p = points[lo:lo + MAX_ROWS]
+        values[lo:lo + MAX_ROWS] = _gaps(w, y1, p[:, 0], p[:, 1],
+                                         _f2_rows(f2, xs, p[:, 2], p[:, 3]))
+    return values
 
 
 def _solve_affine_ls(y1, g, w):
@@ -122,12 +181,33 @@ def _solve_affine_ls(y1, g, w):
     return a, b
 
 
-def _nelder_mead(fn, x0: np.ndarray, max_iters: int, tol: float):
-    """Simplex minimization with scale-invariant stopping.
+def _grid_cells(f2, xs, w, y1) -> list:
+    """(value, index, (a, b, c, d)) of every grid cell with a finite gap, in
+    grid order: c outer, d inner.  Cells where f2 is non-finite or hits a
+    pole are skipped."""
+    cs, ds = np.repeat(C_GRID, D_GRID.size), np.tile(D_GRID, C_GRID.size)
+    cells = []
+    for lo in range(0, cs.size, MAX_ROWS):
+        c, d = cs[lo:lo + MAX_ROWS], ds[lo:lo + MAX_ROWS]
+        g = _f2_rows(f2, xs, c, d)
+        # a non-finite row keeps (a, b) = (0, 0), so its gap is NaN -> inf
+        ab = np.zeros((len(g), 2))
+        for i in np.flatnonzero(np.isfinite(g).all(axis=1)):
+            ab[i] = _solve_affine_ls(y1, g[i], w)
+        vals = _gaps(w, y1, ab[:, 0], ab[:, 1], g)
+        for i in np.flatnonzero(np.isfinite(vals)):
+            cells.append((vals[i], len(cells), np.array([*ab[i], c[i], d[i]])))
+    return cells
 
-    Every move is decided by comparisons of objective values and termination
-    uses the relative f-spread of the simplex, so the trajectory is identical
-    for fn and c*fn with any constant c > 0.
+
+def _nelder_mead(x0: np.ndarray, max_iters: int, tol: float):
+    """Simplex minimization with scale-invariant stopping, as a generator.
+
+    It yields each (k, 4) array of points whose objective values it needs,
+    takes their k values back through send(), and returns the best point
+    and its value.  Every move is decided by comparisons of objective values
+    and termination uses the relative f-spread of the simplex, so the
+    trajectory is identical for fn and c*fn with any constant c > 0.
     """
     ndim = x0.size
     sim = [x0.astype(float)]
@@ -136,19 +216,19 @@ def _nelder_mead(fn, x0: np.ndarray, max_iters: int, tol: float):
         v[i] = v[i] * 1.05 if v[i] != 0.0 else 0.00025
         sim.append(v)
     sim = np.asarray(sim)
-    fs = np.array([fn(v) for v in sim])
+    fs = yield sim
 
     for _ in range(max_iters):
-        order = np.argsort(fs, kind="stable")
+        order = fs.argsort(kind="stable")
         sim, fs = sim[order], fs[order]
-        if np.isfinite(fs[0]) and np.isfinite(fs[-1]) and fs[-1] - fs[0] <= tol * abs(fs[0]):
+        if math.isfinite(fs[0]) and math.isfinite(fs[-1]) and fs[-1] - fs[0] <= tol * abs(fs[0]):
             break
-        centroid = sim[:-1].mean(axis=0)
+        centroid = sim[:-1].sum(axis=0) / ndim
         xr = centroid + (centroid - sim[-1])
-        fr = fn(xr)
+        fr, = yield xr[None]
         if fr < fs[0]:
             xe = centroid + 2.0 * (centroid - sim[-1])
-            fe = fn(xe)
+            fe, = yield xe[None]
             if fe < fr:
                 sim[-1], fs[-1] = xe, fe
             else:
@@ -160,15 +240,25 @@ def _nelder_mead(fn, x0: np.ndarray, max_iters: int, tol: float):
                 xc = centroid + 0.5 * (xr - centroid)
             else:
                 xc = centroid - 0.5 * (centroid - sim[-1])
-            fc = fn(xc)
+            fc, = yield xc[None]
             if fc < min(fr, fs[-1]):
                 sim[-1], fs[-1] = xc, fc
             else:
-                for i in range(1, ndim + 1):
-                    sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
-                    fs[i] = fn(sim[i])
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fs[1:] = yield sim[1:]
     order = np.argsort(fs, kind="stable")
     return sim[order][0], float(fs[order][0])
+
+
+def _polish(start: np.ndarray, max_iters: int):
+    """Nelder-Mead from start, restarted RESTARTS times at its own result:
+    a fresh simplex at the incumbent point recovers from premature simplex
+    collapse.  Yields like _nelder_mead; returns every run's (point, value)."""
+    runs, point = [], start
+    for _ in range(RESTARTS + 1):
+        point, val = yield from _nelder_mead(point, max_iters, SIMPLEX_TOL)
+        runs.append((point, val))
+    return runs
 
 
 def _minimize(f1, f2, cfg: DistanceConfig, density=None):
@@ -178,27 +268,7 @@ def _minimize(f1, f2, cfg: DistanceConfig, density=None):
     if not np.all(np.isfinite(y1)):
         raise ValueError("f1 must be finite on the domain")
 
-    def objective(params) -> float:
-        a, b, c, d = params
-        try:
-            g = np.asarray(f2(c * xs + d), dtype=float)
-        except PoleError:
-            return np.inf
-        return _gap(w, y1, a, b, g)
-
-    cells = []
-    for c in C_GRID:
-        for d in D_GRID:
-            try:
-                g = np.asarray(f2(c * xs + d), dtype=float)
-            except PoleError:
-                continue
-            if not np.all(np.isfinite(g)):
-                continue
-            a, b = _solve_affine_ls(y1, g, w)
-            val = _gap(w, y1, a, b, g)
-            if np.isfinite(val):
-                cells.append((val, len(cells), np.array([a, b, c, d])))
+    cells = _grid_cells(f2, xs, w, y1)
     if not cells:
         raise ValueError("objective is non-finite over the whole search grid")
     # stable sort on value keeps the earliest (lexicographically smallest)
@@ -206,16 +276,29 @@ def _minimize(f1, f2, cfg: DistanceConfig, density=None):
     cells.sort(key=lambda t: (t[0], t[1]))
     best_val, _, best = cells[0]
 
-    # polish from the few best cells; a fresh simplex at the incumbent point
-    # (restart) recovers from premature simplex collapse
-    for start_val, _, start in cells[:REFINE_STARTS]:
-        point = start
-        for _ in range(RESTARTS + 1):
-            point, val = _nelder_mead(objective, point, cfg.refine_iters, SIMPLEX_TOL)
+    # polish from the few best cells in lockstep: each round evaluates the
+    # points every live search asks for together and sends each its values
+    searches = [_polish(start, cfg.refine_iters) for _, _, start in cells[:REFINE_STARTS]]
+    asks = {k: next(search) for k, search in enumerate(searches)}
+    runs = [None] * len(searches)
+    while asks:
+        values = _point_gaps(f2, xs, w, y1, np.concatenate(list(asks.values())))
+        pos = 0
+        for k, points in list(asks.items()):
+            try:
+                asks[k] = searches[k].send(values[pos:pos + len(points)])
+            except StopIteration as done:
+                runs[k] = done.value
+                del asks[k]
+            pos += len(points)
+    # the winner as if the searches had run one after another: start by
+    # start, restart by restart, replacing only on a strict improvement
+    for search_runs in runs:
+        for point, val in search_runs:
             if val < best_val:
                 best_val, best = val, point
     a, b, c, d = best
-    return best_val, AffineReparam(float(a), float(b), float(c), float(d))
+    return float(best_val), AffineReparam(float(a), float(b), float(c), float(d))
 
 
 def nd(f1, f2, cfg: DistanceConfig | None = None):

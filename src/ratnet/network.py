@@ -18,7 +18,7 @@ import numpy as np
 from .distance import DistanceConfig, rnd
 from .fitting import ReferenceActivation, fit, reference_eval, reference_grad
 from .histogram import Histogram
-from .rational import (RationalFunction, eval_parts, grad_coeffs_batch,
+from .rational import (RationalFunction, dq_dt, eval_parts, grad_coeffs_batch,
                        grad_input_batch, init_identity)
 
 # optimizer coefficients: SGD momentum and Adam's moment decays and epsilon
@@ -83,9 +83,9 @@ class ActivationSlot:
             return eval_parts(self.activation, z)
         return self.activation(z), None
 
-    def input_grad(self, z: np.ndarray, parts=None) -> np.ndarray:
+    def input_grad(self, z: np.ndarray, parts=None, dq=None) -> np.ndarray:
         if self.trainable:
-            return grad_input_batch(self.activation, z, parts)
+            return grad_input_batch(self.activation, z, parts, dq)
         if self.activation.grad is None:
             raise ValueError(f"slot {self.slot_id!r} has no derivative; "
                              "it cannot be trained through")
@@ -281,13 +281,15 @@ def backward(net: NetworkSpec, cache: ForwardCache, loss_grad) -> Gradients:
         slot = net.slot_at(i)
         z = cache.pre_acts[i]
         if slot is not None:
-            site_parts = cache.parts[i]
+            site_parts, dq = cache.parts[i], None
             if slot.trainable:
-                d_num, d_den = grad_coeffs_batch(slot.activation, z, delta, site_parts)
+                # dQ/dT once per site, for both gradients
+                dq = dq_dt(slot.activation, site_parts[2])
+                d_num, d_den = grad_coeffs_batch(slot.activation, z, delta, site_parts, dq)
                 acc_num, acc_den = slot_grads[slot.slot_id]
                 acc_num += d_num
                 acc_den += d_den
-            delta = delta * slot.input_grad(z, site_parts)
+            delta = delta * slot.input_grad(z, site_parts, dq)
         layer = net.layers[i]
         layer_grads[i] = (delta.T @ cache.inputs[i], delta.sum(axis=0))
         if i > 0:

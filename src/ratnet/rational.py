@@ -32,11 +32,16 @@ class PoleError(ArithmeticError):
 
 def polyval(coeffs: np.ndarray, x):
     """Horner evaluation of an ascending-order coefficient vector; an empty
-    vector is the zero polynomial."""
+    vector is the zero polynomial.
+
+    The steps run in place on one array, each rounding as result * x + c
+    would, so the bits match the out-of-place form.
+    """
     x = np.asarray(x, dtype=float)
     result = np.full(x.shape, coeffs[-1] if len(coeffs) else 0.0, dtype=float)
     for c in coeffs[-2::-1]:
-        result = result * x + c
+        np.multiply(result, x, out=result)
+        np.add(result, c, out=result)
     return result
 
 
@@ -151,13 +156,16 @@ def _denominator_parts(rf: RationalFunction, x):
         q = polyval(rf.denominator, x)
         _check_poles(q, x)
         return q, q
-    t = polyval(rf.denominator, x) * x
-    return 1.0 + np.abs(t), t
+    t = polyval(rf.denominator, x)
+    t *= x
+    q = np.abs(t)
+    q += 1.0
+    return q, t
 
 
-def _dq_dt(rf: RationalFunction, t):
+def dq_dt(rf: RationalFunction, t):
     """dQ/dT: 1 for raw, sign(T) for safe, whose kink at T = 0 takes the
-    subgradient 0."""
+    subgradient 0.  ``t`` is the T that ``eval_parts`` returned."""
     return 1.0 if rf.variant == RAW else np.sign(t)
 
 
@@ -192,17 +200,18 @@ def eval_batch(rf: RationalFunction, xs) -> np.ndarray:
     return eval_parts(rf, x)[0]
 
 
-def grad_input_batch(rf: RationalFunction, xs, parts=None) -> np.ndarray:
+def grad_input_batch(rf: RationalFunction, xs, parts=None, dq=None) -> np.ndarray:
     """Elementwise dR/dx by the quotient rule, with dQ/dx = dQ/dT * T'(x).
 
     At the safe variant's kink (T exactly zero) the subgradient 0 is used
     for d|T|/dT, so the denominator contributes nothing there.  ``parts``
     is the (p, q, t) that ``eval_parts`` returned for the same xs; without
-    it they are evaluated here.
+    it they are evaluated here.  ``dq`` is ``dq_dt(rf, t)`` of those parts,
+    for a caller that already took it; without it it is taken here.
     """
     x = np.asarray(xs, dtype=float)
     p, q, t = eval_parts(rf, x)[1] if parts is None else parts
-    dq = _dq_dt(rf, t) * polyval(polyder(inner_poly(rf)), x)
+    dq = (dq_dt(rf, t) if dq is None else dq) * polyval(polyder(inner_poly(rf)), x)
     return (polyval(polyder(rf.numerator), x) * q - p * dq) / (q * q)
 
 
@@ -241,12 +250,12 @@ def coeff_jacobian(rf: RationalFunction, x: np.ndarray, powers) -> np.ndarray:
     """
     num_powers, den_powers = powers
     q, t = _denominator_parts(rf, x)
-    d_den = -polyval(rf.numerator, x) * _dq_dt(rf, t) / (q * q)
+    d_den = -polyval(rf.numerator, x) * dq_dt(rf, t) / (q * q)
     return np.hstack((num_powers / q[:, None], den_powers * d_den[:, None]))
 
 
 def grad_coeffs_batch(rf: RationalFunction, xs: np.ndarray, upstream: np.ndarray,
-                      parts=None):
+                      parts=None, dq=None):
     """Accumulated coefficient gradients sum_i upstream_i * dR/dtheta(x_i).
 
     This is the workhorse for training: with upstream = dLoss/dR(x_i) it
@@ -254,15 +263,17 @@ def grad_coeffs_batch(rf: RationalFunction, xs: np.ndarray, upstream: np.ndarray
     Returns (d/da_j for j=0..m, d/db_k) where the denominator vector matches
     the variant's stored layout (k=0..n raw, k=1..n safe).  ``parts`` is
     the (p, q, t) that ``eval_parts`` returned for the same xs; without it
-    they are evaluated here.
+    they are evaluated here.  ``dq`` is ``dq_dt(rf, t)`` of those parts,
+    as in ``grad_input_batch``.
     """
     x = np.ravel(np.asarray(xs, dtype=float))
     u = np.ravel(np.asarray(upstream, dtype=float))
     if x.shape != u.shape:
         raise ValueError("xs and upstream must have matching sizes")
     p, q, t = eval_parts(rf, x)[1] if parts is None else map(np.ravel, parts)
+    dq = dq_dt(rf, t) if dq is None else np.ravel(dq)
     num_powers, den_powers = coeff_powers(rf, x)
-    return (u / q) @ num_powers, (-u * p * _dq_dt(rf, t) / q**2) @ den_powers
+    return (u / q) @ num_powers, (-u * p * dq / q**2) @ den_powers
 
 
 def evaluate(rf: RationalFunction, x: float) -> float:

@@ -1,16 +1,24 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratnet.distance import (AffineReparam, DistanceConfig, density_on_nodes,
-                             integrate_abs_diff, nd, nd_sym, rnd)
+from ratnet.distance import (AffineReparam, DistanceConfig, _nodes_and_weights,
+                             _point_gaps, density_on_nodes, integrate_abs_diff,
+                             nd, nd_sym, rnd)
+from ratnet.fitting import ReferenceActivation, reference_fn, sigmoid
 from ratnet.histogram import Histogram
+from ratnet.rational import RAW, RationalFunction
 
 from conftest import random_rational
 
 IDENTITY = lambda x: x + 0.0
 RELU = lambda x: np.maximum(x, 0.0)
+# x^2 / x as a raw rational: Q = x is exactly 0 at the quadrature node x = 0,
+# so every grid cell with d = 0 hits the pole
+POLE_AT_ZERO = RationalFunction([0.0, 0.0, 1.0], [0.0, 1.0], RAW)
 
 
 def small_cfg(**kw):
@@ -190,3 +198,82 @@ def test_nd_invariance_property(a, b, c, d):
     f2 = lambda x: a * np.tanh(c * x + d) + b
     val, _ = nd(np.tanh, f2, DistanceConfig(quad_points=301))
     assert val <= 1e-3
+
+
+def golden_runs():
+    """name -> the distance call whose bits GOLDEN holds.  The functions
+    come from one seeded generator in a fixed order."""
+    rng = np.random.default_rng(2024)
+    sf, sg = random_rational(rng, 5, 4), random_rational(rng, 5, 4)
+    rf, rg = random_rational(rng, 5, 4, RAW), random_rational(rng, 5, 4, RAW)
+    hist = Histogram(lo=-3.0, hi=3.0, bin_count=64)
+    hist.observe(rng.normal(0.3, 1.2, 2000))
+    lrelu = reference_fn(ReferenceActivation("lrelu"))
+    relu = reference_fn(ReferenceActivation("relu"))
+    small = DistanceConfig(domain=(-2.0, 4.0), quad_points=101, refine_iters=50)
+    return {
+        "safe_nd": lambda: nd(sf, sg),
+        "safe_rnd": lambda: rnd(sf, sg, hist),
+        "raw_nd": lambda: nd(rf, rg),
+        "raw_rnd": lambda: rnd(rg, rf, hist),
+        "tanh_sigmoid": lambda: nd(np.tanh, sigmoid),
+        "lrelu_relu": lambda: nd(lrelu, relu),
+        "small_cfg": lambda: nd(sf, np.tanh, small),
+        "pole": lambda: nd(np.tanh, POLE_AT_ZERO),
+    }
+
+
+# float.hex of (value, (a, b, c, d)) as the one-simplex-at-a-time search
+# with one f2 call per point computed them; the lockstep search must match
+GOLDEN = {
+    "safe_nd": ('0x1.2125e780228fcp+0', ('0x1.1ec97b16ae2d2p+1', '0x1.4b877ee3e79bap+2',
+                                         '-0x1.79e37ba284a2ap-2', '-0x1.aa22927dd1564p+0')),
+    "safe_rnd": ('0x1.056a5b864cc0fp-3', ('0x1.d750d11dda2d6p+0', '0x1.1e4161cda0bc0p+2',
+                                          '-0x1.05660185923e6p-1', '-0x1.d46107609325fp+0')),
+    "raw_nd": ('0x1.49ab27815103fp+2', ('-0x1.ac2829d94d426p+3', '-0x1.83b3be339c8a2p+2',
+                                        '-0x1.884efe25aa695p-3', '0x1.7cde4088e84a2p-2')),
+    "raw_rnd": ('0x1.a532251c3801ep+2', ('-0x1.749fb29a98c2dp+1', '-0x1.718bf3a258309p+1',
+                                         '0x1.0f89ff52050f2p-3', '0x1.48d38a2ef38ecp-2')),
+    "tanh_sigmoid": ('0x1.99d26e560418ap-39', ('0x1.0000000000713p+1', '-0x1.0000000000314p+0',
+                                               '0x1.fffffffff9c8ap+0', '-0x1.51fb14160a240p-43')),
+    "lrelu_relu": ('0x1.6ec9265dfaafdp-6', ('0x1.874ad57a95a52p+2', '-0x1.ee781efef8536p-7',
+                                            '0x1.4ef8d9d9a9e21p-3', '0x1.4380b0d01d7cap-9')),
+    "small_cfg": ('0x1.df6ce19fe2819p+0', ('0x1.f7084f389efe2p+8', '0x1.f58c368d85361p+8',
+                                           '-0x1.ddaea56eabca4p-3', '-0x1.90cb5cf9c9dedp+1')),
+    "pole": ('0x1.26aebb990d552p+0', ('-0x1.d2e748938ef7ap-2', '0x1.d84123b4f2607p-3',
+                                      '-0x1.0134ec54c7f2ep+0', '0x1.02ef194778e6bp-1')),
+}
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_bits(self, name):
+        value, rp = golden_runs()[name]()
+        got = (float(value).hex(), tuple(float(v).hex() for v in (rp.a, rp.b, rp.c, rp.d)))
+        assert got == GOLDEN[name]
+
+    def test_pole_scores_only_its_own_row(self):
+        # 11 points span two f2 calls; the pole rows map the node x = 0 to 0
+        xs, w = _nodes_and_weights((-3.0, 3.0), 2001)
+        y1 = np.tanh(xs)
+        points = np.random.default_rng(5).uniform(0.5, 1.5, (11, 4))
+        points[[2, 9], 3] = 0.0
+        values = _point_gaps(POLE_AT_ZERO, xs, w, y1, points)
+        assert values[2] == values[9] == np.inf
+        for i in set(range(11)) - {2, 9}:
+            a, b, c, d = points[i]
+            one_row = float((w * np.abs(y1 - (a * POLE_AT_ZERO(c * xs + d) + b))).sum())
+            assert values[i] == one_row
+
+    def test_no_reference_cycles(self):
+        # a search that leaves cycles keeps its (rows, nodes) temporaries
+        # alive until the cyclic collector runs
+        cfg = small_cfg(refine_iters=20)
+        gc.collect()
+        gc.disable()
+        try:
+            nd(np.tanh, POLE_AT_ZERO, cfg)
+            rnd(np.tanh, RELU, np.full(cfg.quad_points, 1.0 / 6.0), cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from ratnet.network import ActivationSlot
 from ratnet.rational import (RAW, SAFE, PoleError, RationalFunction,
-                             coeff_jacobian, coeff_powers, eval_batch, eval_parts,
-                             evaluate, grad_coeffs, grad_coeffs_batch, grad_input,
-                             grad_input_batch, init_identity, power_matrix)
+                             coeff_jacobian, coeff_powers, dq_dt, eval_batch,
+                             eval_parts, evaluate, grad_coeffs, grad_coeffs_batch,
+                             grad_input, grad_input_batch, init_identity,
+                             power_matrix)
 
 from conftest import central_diff, random_rational
 
@@ -213,8 +214,8 @@ class TestPowerMatrix:
 
 
 class TestForwardParts:
-    """Gradients given the forward's (p, q, t) are the gradients without
-    them, bit for bit."""
+    """Gradients given the forward's (p, q, t), and the dQ/dT taken from
+    them once, are the gradients without them, bit for bit."""
 
     @pytest.mark.parametrize("variant", [RAW, SAFE])
     def test_parts_path_matches_wrappers(self, rng, variant):
@@ -222,15 +223,19 @@ class TestForwardParts:
         z = rng.normal(size=(32, 16))
         u = rng.normal(size=(32, 16))
         value, parts = eval_parts(rf, z)
+        dq = dq_dt(rf, parts[2])
         assert _same_bits(value, eval_batch(rf, z))
-        for got, want in zip(grad_coeffs_batch(rf, z, u, parts),
-                             grad_coeffs_batch(rf, z, u)):
-            assert _same_bits(got, want)
+        for got, got_dq, want in zip(grad_coeffs_batch(rf, z, u, parts),
+                                     grad_coeffs_batch(rf, z, u, parts, dq),
+                                     grad_coeffs_batch(rf, z, u)):
+            assert _same_bits(got, want) and _same_bits(got_dq, want)
         assert _same_bits(grad_input_batch(rf, z, parts), grad_input_batch(rf, z))
+        assert _same_bits(grad_input_batch(rf, z, parts, dq), grad_input_batch(rf, z))
         slot = ActivationSlot("r", rf)
         value, slot_parts = slot.apply(z)
         assert _same_bits(value, rf(z))
         assert _same_bits(slot.input_grad(z, slot_parts), slot.input_grad(z))
+        assert _same_bits(slot.input_grad(z, slot_parts, dq), slot.input_grad(z))
 
 
 def _den_parts(rf, x):

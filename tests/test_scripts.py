@@ -62,3 +62,23 @@ def test_cli_digest(monkeypatch, capsys):
     assert len(runs[0]) == 1 and argv == invocation
     assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
     assert runs[0] == runs[1]
+
+
+def test_cli_digest_check(monkeypatch, capsys, tmp_path):
+    invocation = "fit --ref tanh --m 3 --n 2 --max-iters 50 --seed 1"
+    with pytest.raises(SystemExit):
+        run_script(monkeypatch, "cli_digest.py", invocation)
+    line = capsys.readouterr().out.splitlines()[0]
+    saved = tmp_path / "digest.txt"
+    saved.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, "cli_digest.py", "--check", str(saved), invocation)
+    assert exit_info.value.code == 0 and capsys.readouterr().out == ""
+
+    stale = ("0" if line[0] != "0" else "1") + line[1:]
+    saved.write_text(stale + "\n")
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, "cli_digest.py", "--check", str(saved), invocation)
+    assert exit_info.value.code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"-{stale}" in out and f"+{line}" in out and len(out) == 5
