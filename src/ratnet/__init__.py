@@ -2,7 +2,7 @@
 
 from .algebra import absorb_residual, compose, normalize, safe_to_raw
 from .distance import AffineReparam, DistanceConfig, integrate_abs_diff, nd, nd_sym, rnd
-from .fitting import FitConfig, FitReport, ReferenceActivation, fit, reference_eval
+from .fitting import FitConfig, FitReport, ReferenceActivation, fit
 from .histogram import Histogram
 from .network import (ActivationSlot, DenseLayer, FixedActivation, NetworkSpec,
                       Optimizer, TrainConfig, apply_affine_equivalence,
@@ -22,8 +22,8 @@ __all__ = [
     "build_dense_network", "compose", "dqn_train", "epsilon_at", "eval_batch",
     "evaluate", "fit", "forward", "grad_coeffs", "grad_input", "init_identity",
     "integrate_abs_diff", "nd", "nd_sym", "normalize", "normalize_score",
-    "optimal_return", "pairwise_layer_distances", "reference_eval", "rnd",
-    "safe_to_raw", "suggest_sharing", "train_classifier", "value_iteration",
+    "optimal_return", "pairwise_layer_distances", "rnd", "safe_to_raw",
+    "suggest_sharing", "train_classifier", "value_iteration",
 ]
 
 __version__ = "0.1.0"

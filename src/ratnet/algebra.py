@@ -38,15 +38,6 @@ def poly_mul(p, q) -> np.ndarray:
     return np.convolve(p, q)
 
 
-def poly_compose(p, q) -> np.ndarray:
-    """Coefficients of p(q(x)), by Horner in polynomial arithmetic."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    result = np.array([p[-1]])
-    for c in p[-2::-1]:
-        result = poly_add(poly_mul(result, q), [c])
-    return result
-
-
 def _require_raw(rf: RationalFunction, op: str) -> None:
     if rf.variant != RAW:
         raise ValueError(f"{op} is defined on the raw variant only; "

@@ -18,8 +18,7 @@ import numpy as np
 from .algebra import absorb_residual
 from .datasets import load_csv, make_blobs, make_two_spirals
 from .distance import DistanceConfig, nd
-from .fitting import (REFERENCE_NAMES, FitConfig, ReferenceActivation, fit,
-                      reference_eval, reference_fn)
+from .fitting import REFERENCE_NAMES, FitConfig, ReferenceActivation, fit
 from .histogram import Histogram
 from .network import NetworkSpec, TrainConfig, build_dense_network, train_classifier
 from .rational import RationalFunction, eval_batch
@@ -84,7 +83,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 def _load_function(spec: str):
     """A named reference activation or a path to a rational JSON file."""
     if spec in REFERENCE_NAMES:
-        return reference_fn(ReferenceActivation(spec))
+        return ReferenceActivation(spec)
     rf = RationalFunction.from_dict(json.loads(Path(spec).read_text()))
     return lambda x: eval_batch(rf, x)
 
@@ -111,7 +110,7 @@ def cmd_fit(args: argparse.Namespace) -> dict:
         out = Path(opt["out"])
         _write(out / "rational.json", _json_text(rf.to_dict()))
         xs = np.linspace(opt["lo"], opt["hi"], opt["points"])
-        target = reference_eval(ref, xs)
+        target = ref(xs)
         fitted = eval_batch(rf, xs)
         lines = ["x,target,fitted"]
         lines += [f"{x:.6g},{t:.6g},{v:.6g}" for x, t, v in zip(xs, target, fitted)]

@@ -164,12 +164,13 @@ def _point_gaps(f2, xs, w, y1, points) -> np.ndarray:
     return values
 
 
-def _solve_affine_ls(y1, g, w):
-    """Weighted least squares for y1 ~ a*g + b; degenerate g falls back to a=0."""
-    sw = float(w.sum())
+def _solve_affine_ls(y1, g, w, sw, swy):
+    """Weighted least squares for y1 ~ a*g + b; degenerate g falls back to a=0.
+
+    ``sw`` = sum(w) and ``swy`` = w @ y1 do not depend on g, so the caller
+    computes them once for every g it solves."""
     swg = float(w @ g)
     swgg = float(w @ (g * g))
-    swy = float(w @ y1)
     swgy = float(w @ (g * y1))
     det = swgg * sw - swg * swg
     if abs(det) < 1e-30 or sw <= 0.0:
@@ -185,6 +186,7 @@ def _grid_cells(f2, xs, w, y1) -> list:
     """(value, index, (a, b, c, d)) of every grid cell with a finite gap, in
     grid order: c outer, d inner.  Cells where f2 is non-finite or hits a
     pole are skipped."""
+    sw, swy = float(w.sum()), float(w @ y1)
     cs, ds = np.repeat(C_GRID, D_GRID.size), np.tile(D_GRID, C_GRID.size)
     cells = []
     for lo in range(0, cs.size, MAX_ROWS):
@@ -193,7 +195,7 @@ def _grid_cells(f2, xs, w, y1) -> list:
         # a non-finite row keeps (a, b) = (0, 0), so its gap is NaN -> inf
         ab = np.zeros((len(g), 2))
         for i in np.flatnonzero(np.isfinite(g).all(axis=1)):
-            ab[i] = _solve_affine_ls(y1, g[i], w)
+            ab[i] = _solve_affine_ls(y1, g[i], w, sw, swy)
         vals = _gaps(w, y1, ab[:, 0], ab[:, 1], g)
         for i in np.flatnonzero(np.isfinite(vals)):
             cells.append((vals[i], len(cells), np.array([*ab[i], c[i], d[i]])))

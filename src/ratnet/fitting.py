@@ -54,6 +54,16 @@ class ReferenceActivation:
         if not all(np.isfinite(v) for v in vals):
             raise ValueError("reference parameters must be finite")
 
+    def __call__(self, x):
+        """Closed-form value of the named activation, vectorized."""
+        return np.asarray(REFERENCES[self.name][0](self, np.asarray(x, dtype=float)),
+                          dtype=float)
+
+    def grad(self, x):
+        """Derivative of the named activation, vectorized."""
+        return np.asarray(REFERENCES[self.name][1](self, np.asarray(x, dtype=float)),
+                          dtype=float)
+
 
 def sigmoid(x):
     x = np.clip(np.asarray(x, dtype=float), -500.0, 500.0)
@@ -104,21 +114,6 @@ REFERENCES = {
                  lambda ref, x: np.zeros_like(x)),
 }
 REFERENCE_NAMES = tuple(REFERENCES)
-
-
-def reference_eval(ref: ReferenceActivation, x):
-    """Closed-form value of the named activation, vectorized."""
-    return REFERENCES[ref.name][0](ref, np.asarray(x, dtype=float))
-
-
-def reference_grad(ref: ReferenceActivation, x):
-    """Derivative of the named activation, vectorized."""
-    return REFERENCES[ref.name][1](ref, np.asarray(x, dtype=float))
-
-
-def reference_fn(ref: ReferenceActivation):
-    """The activation as a plain callable, for the distance machinery."""
-    return lambda x: reference_eval(ref, x)
 
 
 @dataclass
@@ -176,10 +171,7 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
         identity_start[1] += 1.0
 
     xs = np.linspace(cfg.interval[0], cfg.interval[1], cfg.n_points)
-    if isinstance(ref, ReferenceActivation):
-        ys = reference_eval(ref, xs)
-    else:
-        ys = np.asarray(ref(xs), dtype=float)
+    ys = np.asarray(ref(xs), dtype=float)
 
     def residual(t: np.ndarray):
         """(residual vector, mse) at t; (None, inf) where t is not finite."""

@@ -52,6 +52,14 @@ class Histogram:
     def in_range(self) -> int:
         return int(self.counts.sum())
 
+    def _bin_index(self, x: np.ndarray) -> np.ndarray:
+        """The bin of each x: -1 below lo, bin_count at or above hi, else
+        the half-open bin that holds it."""
+        # floor can round up to bin_count for values just under hi; the clip
+        # runs in float, so huge values cannot overflow the int64 cast
+        idx = np.clip(np.floor((x - self.lo) / self.bin_width), 0, self.bin_count - 1)
+        return (idx - (x < self.lo) + (x >= self.hi)).astype(np.int64)
+
     def observe(self, values) -> None:
         """Record one value or an array of values."""
         x = np.atleast_1d(np.asarray(values, dtype=float)).ravel()
@@ -59,16 +67,10 @@ class Histogram:
             return
         if not np.all(np.isfinite(x)):
             raise ValueError("histogram observations must be finite")
-        below = x < self.lo
-        above = x >= self.hi
-        self.underflow += int(below.sum())
-        self.overflow += int(above.sum())
-        inside = x[~(below | above)]
-        if inside.size:
-            idx = np.floor((inside - self.lo) / self.bin_width).astype(np.int64)
-            # floor can round up to bin_count for values just under hi
-            np.clip(idx, 0, self.bin_count - 1, out=idx)
-            np.add.at(self.counts, idx, 1)
+        tally = np.bincount(self._bin_index(x) + 1, minlength=self.bin_count + 2)
+        self.underflow += int(tally[0])
+        self.overflow += int(tally[-1])
+        self.counts += tally[1:-1]
 
     def merge(self, other: "Histogram") -> "Histogram":
         """Combine two histograms with identical binning into a new one."""
@@ -94,9 +96,8 @@ class Histogram:
         x = np.asarray(xs, dtype=float)
         rho = np.zeros_like(x)
         inside = (x >= self.lo) & (x < self.hi)
-        idx = np.floor((x[inside] - self.lo) / self.bin_width).astype(np.int64)
-        np.clip(idx, 0, self.bin_count - 1, out=idx)
-        rho[inside] = self.counts[idx] / (self.in_range * self.bin_width)
+        rho[inside] = (self.counts[self._bin_index(x[inside])]
+                       / (self.in_range * self.bin_width))
         return rho
 
     def to_dict(self) -> dict:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .distance import DistanceConfig, rnd
-from .fitting import ReferenceActivation, fit, reference_eval, reference_grad
+from .fitting import ReferenceActivation, fit
 from .histogram import Histogram
 from .rational import (RationalFunction, dq_dt, eval_parts, grad_coeffs_batch,
                        grad_input_batch, init_identity)
@@ -30,45 +30,34 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class FixedActivation:
-    """A non-trainable activation: a value function and its derivative.
+    """A non-trainable ad hoc activation: a value function and its derivative.
 
-    ``ref`` is kept when the activation comes from a named reference so the
-    network stays serializable; ad hoc callables work for in-memory use but
-    cannot be written to JSON.
+    It works for in-memory use but cannot be written to JSON; a named
+    ReferenceActivation is the serializable fixed activation.
     """
 
     name: str
     fn: Callable
     grad: Callable | None = None
-    ref: ReferenceActivation | None = None
-
-    @classmethod
-    def from_reference(cls, ref: ReferenceActivation) -> "FixedActivation":
-        return cls(name=ref.name,
-                   fn=lambda x: reference_eval(ref, x),
-                   grad=lambda x: reference_grad(ref, x),
-                   ref=ref)
 
     def __call__(self, x):
         return np.asarray(self.fn(x), dtype=float)
 
 
 class ActivationSlot:
-    """One activation function plus the sites that use it."""
+    """One activation function and, when its inputs are tracked, their
+    histogram.  The sites that use the slot are the network's
+    ``site_slots`` entries naming its id."""
 
-    def __init__(self, slot_id: str, activation, track_inputs: bool = False,
+    def __init__(self, slot_id: str, activation,
                  histogram: Histogram | None = None):
-        if isinstance(activation, ReferenceActivation):
-            activation = FixedActivation.from_reference(activation)
-        if not isinstance(activation, (RationalFunction, FixedActivation)):
+        if not isinstance(activation, (RationalFunction, ReferenceActivation,
+                                       FixedActivation)):
             raise TypeError("slot activation must be a RationalFunction, "
-                            "FixedActivation or ReferenceActivation")
+                            "ReferenceActivation or FixedActivation")
         self.slot_id = slot_id
         self.activation = activation
-        self.sites: list[int] = []
         self.histogram = histogram
-        if track_inputs and self.histogram is None:
-            self.histogram = Histogram()
 
     @property
     def trainable(self) -> bool:
@@ -135,6 +124,10 @@ class NetworkSpec:
             if layers[i].in_size != layers[i - 1].out_size:
                 raise ValueError(f"layer {i} input size {layers[i].in_size} does not "
                                  f"match layer {i - 1} output size {layers[i - 1].out_size}")
+        for sid, slot in slots.items():
+            if slot.slot_id != sid:
+                raise ValueError(f"slot {slot.slot_id!r} is keyed under {sid!r}; "
+                                 "a slot's key must be its slot_id")
         for sid in site_slots:
             if sid is not None and sid not in slots:
                 raise ValueError(f"site references unknown slot {sid!r}")
@@ -142,12 +135,6 @@ class NetworkSpec:
         self.slots = slots
         self.site_slots = list(site_slots)
         self.version = 0
-        self._link_sites()
-
-    def _link_sites(self) -> None:
-        """Point every slot at the sites that name it."""
-        for slot in self.slots.values():
-            slot.sites = [i for i, sid in enumerate(self.site_slots) if sid == slot.slot_id]
 
     @property
     def in_size(self) -> int:
@@ -167,8 +154,8 @@ class NetworkSpec:
             act = slot.activation
             if isinstance(act, RationalFunction):
                 act_doc = {"type": "rational", **act.to_dict()}
-            elif act.ref is not None:
-                act_doc = {"type": "reference", **asdict(act.ref)}
+            elif isinstance(act, ReferenceActivation):
+                act_doc = {"type": "reference", **asdict(act)}
             else:
                 raise ValueError(f"slot {sid!r} holds an ad hoc callable and "
                                  "cannot be serialized")
@@ -449,13 +436,8 @@ def apply_affine_equivalence(net: NetworkSpec, site_index: int, rp,
     if site_index + 1 >= len(net.layers):
         raise ValueError("cannot rewrite the final activation: no following "
                          "layer exists to absorb the vertical reparameterization")
-    if isinstance(f2, ReferenceActivation):
-        f2 = FixedActivation.from_reference(f2)
     if isinstance(f2, RationalFunction):
         f2 = f2.copy()
-    elif not isinstance(f2, FixedActivation):
-        raise TypeError("f2 must be a RationalFunction, FixedActivation or "
-                        "ReferenceActivation")
 
     out = clone_network(net)
     prev = out.layers[site_index]
@@ -471,11 +453,10 @@ def apply_affine_equivalence(net: NetworkSpec, site_index: int, rp,
     while new_id in out.slots:
         new_id = f"{old_slot.slot_id}@rewritten{k}"
         k += 1
-    track = old_slot.histogram is not None
-    out.slots[new_id] = ActivationSlot(new_id, f2, track_inputs=track)
+    hist = None if old_slot.histogram is None else Histogram()
+    out.slots[new_id] = ActivationSlot(new_id, f2, histogram=hist)
     out.site_slots[site_index] = new_id
-    out._link_sites()
-    if not out.slots[old_slot.slot_id].sites:
+    if old_slot.slot_id not in out.site_slots:
         del out.slots[old_slot.slot_id]
     return out
 
@@ -569,13 +550,15 @@ def build_dense_network(layer_sizes: list[int], activation: str = "rational",
             else [list(range(n_sites))]
         for group in groups:
             sid = "r" + "_".join(str(i) for i in group)
-            slots[sid] = ActivationSlot(sid, proto.copy(), track_inputs=track_inputs)
+            slots[sid] = ActivationSlot(sid, proto.copy(),
+                                        histogram=Histogram() if track_inputs else None)
             for i in group:
                 site_slots[i] = sid
     else:
         ref = ReferenceActivation(activation)
         for i in range(n_sites):
             sid = f"{activation}{i}"
-            slots[sid] = ActivationSlot(sid, ref, track_inputs=track_inputs)
+            slots[sid] = ActivationSlot(sid, ref,
+                                        histogram=Histogram() if track_inputs else None)
             site_slots[i] = sid
     return NetworkSpec(layers, slots, site_slots)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ratnet.distance import (AffineReparam, DistanceConfig, _nodes_and_weights,
                              _point_gaps, density_on_nodes, integrate_abs_diff,
                              nd, nd_sym, rnd)
-from ratnet.fitting import ReferenceActivation, reference_fn, sigmoid
+from ratnet.fitting import ReferenceActivation, sigmoid
 from ratnet.histogram import Histogram
 from ratnet.rational import RAW, RationalFunction
 
@@ -208,8 +208,8 @@ def golden_runs():
     rf, rg = random_rational(rng, 5, 4, RAW), random_rational(rng, 5, 4, RAW)
     hist = Histogram(lo=-3.0, hi=3.0, bin_count=64)
     hist.observe(rng.normal(0.3, 1.2, 2000))
-    lrelu = reference_fn(ReferenceActivation("lrelu"))
-    relu = reference_fn(ReferenceActivation("relu"))
+    lrelu = ReferenceActivation("lrelu")
+    relu = ReferenceActivation("relu")
     small = DistanceConfig(domain=(-2.0, 4.0), quad_points=101, refine_iters=50)
     return {
         "safe_nd": lambda: nd(sf, sg),

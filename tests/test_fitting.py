@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratnet.fitting import (FitConfig, ReferenceActivation, fit, reference_eval,
-                            reference_grad, sigmoid)
+from ratnet.fitting import FitConfig, ReferenceActivation, fit, sigmoid
 from ratnet.rational import RationalFunction, SAFE
 
 from conftest import central_diff
@@ -14,27 +13,27 @@ from conftest import central_diff
 
 class TestReferenceEval:
     def test_silu_at_zero(self):
-        assert reference_eval(ReferenceActivation("silu"), 0.0) == 0.0
+        assert ReferenceActivation("silu")(0.0) == 0.0
 
     def test_dsilu_at_zero(self):
-        assert reference_eval(ReferenceActivation("dsilu"), 0.0) == 0.5
+        assert ReferenceActivation("dsilu")(0.0) == 0.5
 
     def test_lrelu_negative_side(self):
         ref = ReferenceActivation("lrelu", slope=0.01)
-        assert reference_eval(ref, -3.0) == pytest.approx(-0.03)
+        assert ref(-3.0) == pytest.approx(-0.03)
 
     def test_dsilu_is_silu_derivative(self):
         xs = np.linspace(-5, 5, 101)
         silu = ReferenceActivation("silu")
-        dsilu = reference_eval(ReferenceActivation("dsilu"), xs)
-        fd = central_diff(lambda v: reference_eval(silu, v), xs, h=1e-6)
+        dsilu = ReferenceActivation("dsilu")(xs)
+        fd = central_diff(lambda v: silu(v), xs, h=1e-6)
         np.testing.assert_allclose(dsilu, fd, atol=1e-8)
 
     def test_swish_beta_one_is_silu(self):
         xs = np.linspace(-4, 4, 51)
         np.testing.assert_allclose(
-            reference_eval(ReferenceActivation("swish", beta=1.0), xs),
-            reference_eval(ReferenceActivation("silu"), xs))
+            ReferenceActivation("swish", beta=1.0)(xs),
+            ReferenceActivation("silu")(xs))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -47,8 +46,8 @@ class TestReferenceEval:
         ref = ReferenceActivation(name, slope=0.07, beta=1.3, scale=2.0, shift=0.5)
         xs = np.linspace(-4, 4, 81)
         xs = xs[np.abs(xs) > 1e-3]  # relu/lrelu kink
-        fd = central_diff(lambda v: reference_eval(ref, v), xs, h=1e-6)
-        np.testing.assert_allclose(reference_grad(ref, xs), fd, atol=1e-7)
+        fd = central_diff(lambda v: ref(v), xs, h=1e-6)
+        np.testing.assert_allclose(ref.grad(xs), fd, atol=1e-7)
 
     @given(st.floats(-600, 600))
     @settings(max_examples=100, deadline=None)
@@ -63,6 +62,14 @@ class TestFit:
                          FitConfig(max_iters=3000, seed=0))
         assert report.final_mse <= 1e-10
         np.testing.assert_allclose(rf.numerator, [1.0, 2.0], atol=1e-4)
+
+    def test_reference_and_plain_callable_fit_identically(self):
+        cfg = FitConfig(max_iters=500, seed=2)
+        rf_ref, rep_ref = fit(5, 4, ReferenceActivation("tanh"), cfg)
+        rf_fn, rep_fn = fit(5, 4, lambda x: np.tanh(x), cfg)
+        assert rf_ref.numerator.tobytes() == rf_fn.numerator.tobytes()
+        assert rf_ref.denominator.tobytes() == rf_fn.denominator.tobytes()
+        assert rep_ref == rep_fn
 
     def test_constant_target(self):
         rf, report = fit(0, 0, ReferenceActivation("constant", shift=5.0),

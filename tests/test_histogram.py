@@ -29,6 +29,19 @@ def test_count_conservation(values):
     assert h.total == len(values)
 
 
+def test_edge_values_land_in_their_buckets():
+    h = Histogram(lo=-5.0, hi=5.0, bin_count=64)
+    # (hi - 1e-15 - lo) / bin_width rounds to 64.0, one past the last bin
+    assert np.floor((5.0 - 1e-15 + 5.0) / h.bin_width) == 64
+    h.observe(np.array([5.0 - 1e-15, -5.0, 5.0, 1e300, -1e300]))
+    assert h.counts[-1] == 1 and h.counts[0] == 1
+    assert h.in_range == 2
+    assert (h.underflow, h.overflow) == (1, 2)
+    rho = h.density(np.array([5.0 - 1e-15, -5.0, 5.0, 1e300, -1e300]))
+    width = 10.0 / 64
+    assert rho.tolist() == [0.5 / width, 0.5 / width, 0.0, 0.0, 0.0]
+
+
 def test_observe_rejects_nonfinite():
     h = Histogram()
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,56 @@ class TestForward:
         assert net.slots[sid].histogram.total == 8 * 4
         forward(net, np.ones((8, 2)), track=False)
         assert net.slots[sid].histogram.total == 8 * 4
+
+
+# a network with one reference slot, serialized with json.dumps at the
+# commit before reference activations became callable; the bytes must not move
+REFERENCE_NET_JSON = (
+    '{"layers": [{"weights": [[1.0, -0.5], [0.25, 2.0]], "biases": [0.5, -1.0]}, '
+    '{"weights": [[2.0, 1.0]], "biases": [0.125]}], "site_slots": ["lrelu0", null], '
+    '"slots": {"lrelu0": {"activation": {"type": "reference", "name": "lrelu", '
+    '"slope": 0.2, "beta": 1.0, "scale": 1.0, "shift": 0.0}, "histogram": '
+    '{"lo": -1.0, "hi": 1.0, "bin_count": 2, "counts": [1, 2], "underflow": 0, '
+    '"overflow": 1}}}}')
+
+
+class TestSlots:
+    def test_reference_slot_holds_and_calls_the_reference(self, rng):
+        ref = ReferenceActivation("swish", beta=1.7)
+        slot = ActivationSlot("s", ref)
+        assert slot.activation is ref
+        assert not slot.trainable
+        z = rng.normal(size=(4, 5))
+        assert np.array_equal(slot.input_grad(z), ref.grad(z))
+        value, parts = slot.apply(z)
+        assert np.array_equal(value, ref(z)) and parts is None
+
+    def test_other_activations_rejected(self):
+        with pytest.raises(TypeError):
+            ActivationSlot("s", np.tanh)
+
+    def test_slot_keyed_under_another_id_rejected(self):
+        layer = DenseLayer(np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="'b'.*'a'"):
+            NetworkSpec([layer], {"a": ActivationSlot("b", init_identity(3, 2))}, ["a"])
+
+    def test_reference_slot_json_bytes(self):
+        layers = [DenseLayer([[1.0, -0.5], [0.25, 2.0]], [0.5, -1.0]),
+                  DenseLayer([[2.0, 1.0]], [0.125])]
+        hist = Histogram(lo=-1.0, hi=1.0, bin_count=2)
+        hist.observe([-0.5, 0.5, 0.75, 3.0])
+        slot = ActivationSlot("lrelu0", ReferenceActivation("lrelu", slope=0.2),
+                              histogram=hist)
+        net = NetworkSpec(layers, {"lrelu0": slot}, ["lrelu0", None])
+        assert json.dumps(net.to_dict()) == REFERENCE_NET_JSON
+        back = NetworkSpec.from_dict(json.loads(REFERENCE_NET_JSON))
+        assert back.slots["lrelu0"].activation == ReferenceActivation("lrelu", slope=0.2)
+        assert json.dumps(back.to_dict()) == REFERENCE_NET_JSON
+
+    def test_ad_hoc_activation_not_serializable(self):
+        net = tiny_net([[1.0]], [0.0], FixedActivation("t", np.tanh, None))
+        with pytest.raises(ValueError):
+            net.to_dict()
 
 
 class TestBackward:
@@ -378,6 +430,28 @@ class TestAffineEquivalence:
         x = rng.normal(size=(10, 2))
         np.testing.assert_allclose(forward(out, x)[0], forward(net, x)[0],
                                    atol=1e-12)
+
+
+    def test_unused_old_slot_dropped_shared_slot_kept(self):
+        net = build_dense_network([2, 3, 3, 3, 2], activation="tanh", seed=0)
+        assert sorted(net.slots) == ["tanh0", "tanh1", "tanh2"]
+        out = apply_affine_equivalence(net, 1, AffineReparam(), ReferenceActivation("silu"))
+        assert sorted(out.slots) == ["tanh0", "tanh1@rewritten", "tanh2"]
+        assert out.slots["tanh1@rewritten"].activation == ReferenceActivation("silu")
+
+        shared = build_dense_network([2, 3, 3, 3, 2], activation="shared-rational",
+                                     init="identity", seed=0)
+        out = apply_affine_equivalence(shared, 1, AffineReparam(), init_identity(5, 4))
+        assert sorted(out.slots) == ["r0_1_2", "r0_1_2@rewritten"]
+        assert out.site_slots == ["r0_1_2", "r0_1_2@rewritten", "r0_1_2", None]
+
+    def test_tracked_slot_gets_a_fresh_histogram(self, rng):
+        net = build_dense_network([2, 3, 3, 2], init="identity", seed=0,
+                                  track_inputs=True)
+        forward(net, rng.normal(size=(5, 2)))
+        out = apply_affine_equivalence(net, 0, AffineReparam(), init_identity(5, 4))
+        assert out.slots["r0@rewritten"].histogram.total == 0
+        assert out.slots["r1"].histogram.total == 15
 
 
 def _affine_of_raw(rf, a, b, c, d):
