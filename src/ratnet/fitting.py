@@ -7,7 +7,10 @@ come from linear least squares: multiplying R = P/(1 + |S|) out gives
 P - y*|S| = y, which is linear in the coefficients once the sign pattern of
 S is guessed, either S >= 0 on the grid or S of the sign of x.  The optimizer
 only ever accepts improving steps, so the loss trajectory is non-increasing,
-and everything is deterministic given the seed.
+and everything is deterministic given the seed.  Each LM trial evaluates the
+rational once; an accepted trial's P, Q and T also serve the gradient and
+the Jacobian.  The second start gives up as soon as it cannot beat the first
+within its trial budget (see ``fit``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rational import (RationalFunction, SAFE, coeff_jacobian, coeff_powers,
-                       eval_batch, grad_coeffs_batch)
+                       dq_dt, eval_batch, eval_parts, grad_coeffs_batch)
 
 GRAD_TOLERANCE = 1e-10  # sup-norm gradient threshold for "converged"
 # Levenberg-Marquardt damping: its start, the factor it grows by after a
@@ -127,8 +130,14 @@ class FitConfig:
         lo, hi = self.interval
         if not lo < hi:
             raise ValueError("interval must satisfy lo < hi")
+        # an infinite end or width would turn the grid into inf and nan
+        if not np.isfinite(hi - lo):
+            raise ValueError("interval must be finite, and so must hi - lo")
         if self.n_points < 2:
             raise ValueError("n_points must be >= 2")
+        # the trial count never equals a negative or fractional cap
+        if not (self.max_iters >= 0 and float(self.max_iters).is_integer()):
+            raise ValueError("max_iters must be a whole number >= 0")
 
 
 @dataclass
@@ -154,9 +163,21 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
     n_points uniform samples of the interval by Levenberg-Marquardt from
     each linearized start plus a small seeded uniform perturbation, and
     keeps the better result (the first on a tie).  ``cfg.max_iters`` caps
-    the LM trials summed over both starts; the second start gets what the
-    first leaves.  Returns the best iterate found and a FitReport; running
-    out of trials is not an error, the report just carries converged=False.
+    the LM trials summed over both starts, and the report's ``iterations``
+    counts those trials, each one evaluation of the loss; the second start
+    gets what the first leaves.  Returns the best iterate found and a
+    FitReport; running out of trials is not an error, the report just
+    carries converged=False.
+
+    The second start stops after an accepted step that lowered its loss by
+    the fraction d when loss * (1 - d)^k >= incumbent, with k its trials
+    left and the incumbent the first start's loss: even if every remaining
+    trial repeated that step's decrease it would not win.  A stopped start
+    has loss >= incumbent, so the first start wins as it would have on a
+    tie.  This is a heuristic, since LM can speed up after a slow stretch,
+    so in rare cases a start that would have won by a hair is stopped.  The
+    best loss is still non-increasing in max_iters: a larger budget runs
+    each start further along the same trajectory, and lengthens k.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be non-negative")
@@ -174,36 +195,47 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
     ys = np.asarray(ref(xs), dtype=float)
 
     def residual(t: np.ndarray):
-        """(residual vector, mse) at t; (None, inf) where t is not finite."""
+        """(residual vector, mse, rational, its eval_parts parts) at t;
+        (None, inf, None, None) where t is not finite."""
         if not np.all(np.isfinite(t)):
-            return None, np.inf
-        a, b = _unpack(t, m)
+            return None, np.inf, None, None
+        rf = RationalFunction(*_unpack(t, m), SAFE)
         # overflow at a trial point just means "reject the step"
         with np.errstate(over="ignore", invalid="ignore"):
-            r = eval_batch(RationalFunction(a, b, SAFE), xs) - ys
-            return r, float(np.mean(r * r))
+            value, parts = eval_parts(rf, xs)
+            r = value - ys
+            return r, float(np.mean(r * r)), rf, parts
 
     # checked before any feature matrix is built: on an interval wide enough
-    # to overflow x^j the linearized solves would only spray warnings
-    if not np.all(np.isfinite(ys)) or not np.isfinite(residual(identity_start)[1]):
-        raise ValueError("loss is not finite at the starting point")
+    # to overflow x^j the linearized solves would only spray warnings.  A
+    # finite loss also means finite targets, and eval_batch checks the grid.
+    identity_rf = RationalFunction(*_unpack(identity_start, m), SAFE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = eval_batch(identity_rf, xs) - ys
+        if not np.isfinite(np.mean(r * r)):
+            raise ValueError("loss is not finite at the starting point")
 
-    # x^j depends only on the grid: one build serves every Jacobian and
-    # both linearized starts
-    powers = coeff_powers(RationalFunction(*_unpack(identity_start, m), SAFE), xs)
+    # x^j depends only on the grid: one build serves every gradient, every
+    # Jacobian and both linearized starts
+    powers = coeff_powers(identity_rf, xs)
 
-    def descend(theta: np.ndarray, budget: int):
+    def descend(theta: np.ndarray, budget: int, incumbent: float):
         """LM from theta for at most `budget` trials, accepting only steps
-        that lower the loss; returns (theta, loss, trials, converged)."""
-        r, loss = residual(theta)
+        that lower the loss, and giving up once the loss cannot fall below
+        `incumbent` (see fit); returns (theta, loss, trials, converged)."""
+        r, loss, rf, parts = residual(theta)
         damping = LM_DAMPING
+        eye = np.eye(theta.size)
         trials = 0
         while True:
-            rf = RationalFunction(*_unpack(theta, m), SAFE)
-            grad = np.concatenate(grad_coeffs_batch(rf, xs, 2.0 * r / xs.size))
+            # the accepted trial's P, Q and T serve the gradient and the
+            # Jacobian, which are taken at the same theta
+            dq = dq_dt(rf, parts[2])
+            grad = np.concatenate(grad_coeffs_batch(rf, xs, 2.0 * r / xs.size,
+                                                    parts, dq, powers))
             if np.max(np.abs(grad)) <= GRAD_TOLERANCE:
                 return theta, loss, trials, True
-            jac = coeff_jacobian(rf, xs, powers)
+            jac = coeff_jacobian(rf, xs, powers, parts, dq)
             # Marquardt's damping H + lambda * diag(H), solved in the
             # diagonally scaled variables where diag(H) becomes the identity
             hess = (2.0 / xs.size) * (jac.T @ jac)
@@ -213,9 +245,9 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
                 if trials == budget:
                     return theta, loss, trials, False
                 trials += 1
-                step = np.linalg.solve(unit + damping * np.eye(theta.size), -grad / scale)
+                step = np.linalg.solve(unit + damping * eye, -grad / scale)
                 cand = theta + step / scale
-                cand_r, cand_loss = residual(cand)
+                cand_r, cand_loss, cand_rf, cand_parts = residual(cand)
                 if cand_loss < loss:
                     break
                 damping *= LM_FACTOR
@@ -223,10 +255,14 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
                     # no improving step exists at float resolution
                     return theta, loss, trials, True
             decrease = (loss - cand_loss) / loss
-            theta, r, loss = cand, cand_r, cand_loss
+            theta, r, loss, rf, parts = cand, cand_r, cand_loss, cand_rf, cand_parts
             damping = max(damping / LM_FACTOR, LM_DAMPING_FLOOR)
             if decrease <= STALL_TOLERANCE:
                 return theta, loss, trials, True
+            # even this step's decrease repeated on every trial left cannot
+            # take the loss below the incumbent (which implies loss >= it)
+            if loss * (1.0 - decrease) ** (budget - trials) >= incumbent:
+                return theta, loss, trials, False
 
     # linearized starts: P - y*w*S = y is linear in the coefficients and
     # equals the fit where |S| = w*S, so w = 1 assumes S >= 0 on the grid
@@ -239,7 +275,8 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
             lin = np.hstack((powers[0], -(w * ys)[:, None] * powers[1]))
         start = (np.linalg.lstsq(lin, ys, rcond=None)[0] + jitter
                  if np.all(np.isfinite(lin)) else identity_start)
-        theta, loss, trials, converged = descend(start, cfg.max_iters - iterations)
+        theta, loss, trials, converged = descend(
+            start, cfg.max_iters - iterations, np.inf if best is None else best[1])
         iterations += trials
         if best is None or loss < best[1]:
             best = (theta, loss, converged)

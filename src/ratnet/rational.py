@@ -34,12 +34,16 @@ def polyval(coeffs: np.ndarray, x):
     """Horner evaluation of an ascending-order coefficient vector; an empty
     vector is the zero polynomial.
 
-    The steps run in place on one array, each rounding as result * x + c
-    would, so the bits match the out-of-place form.
+    The steps run in place on one array that starts as x * c_last, each
+    rounding as result * x + c would, so the bits match the out-of-place
+    form that starts from a constant c_last.
     """
     x = np.asarray(x, dtype=float)
-    result = np.full(x.shape, coeffs[-1] if len(coeffs) else 0.0, dtype=float)
-    for c in coeffs[-2::-1]:
+    if len(coeffs) < 2:
+        return np.full(x.shape, coeffs[-1] if len(coeffs) else 0.0, dtype=float)
+    result = np.multiply(x, coeffs[-1], out=np.empty(x.shape))
+    np.add(result, coeffs[-2], out=result)
+    for c in coeffs[-3::-1]:
         np.multiply(result, x, out=result)
         np.add(result, c, out=result)
     return result
@@ -240,22 +244,28 @@ def coeff_powers(rf: RationalFunction, x: np.ndarray):
     return v[:, :rf.m + 1], v[:, n + 1 - rf.denominator.size:n + 1]
 
 
-def coeff_jacobian(rf: RationalFunction, x: np.ndarray, powers) -> np.ndarray:
+def coeff_jacobian(rf: RationalFunction, x: np.ndarray, powers, parts=None,
+                   dq=None) -> np.ndarray:
     """Jacobian dR(x_i)/dtheta_j over a flat x.
 
     The columns are the numerator's coefficients, then the stored
     denominator's.  ``powers`` is ``coeff_powers(rf, x)``; it depends only
     on x and the degrees, so a caller differentiating many coefficient
-    vectors on one grid builds it once.
+    vectors on one grid builds it once.  ``parts`` and ``dq`` are as in
+    ``grad_coeffs_batch``.
     """
     num_powers, den_powers = powers
-    q, t = _denominator_parts(rf, x)
-    d_den = -polyval(rf.numerator, x) * dq_dt(rf, t) / (q * q)
-    return np.hstack((num_powers / q[:, None], den_powers * d_den[:, None]))
+    p, q, t = eval_parts(rf, x)[1] if parts is None else parts
+    d_den = -p * (dq_dt(rf, t) if dq is None else dq) / (q * q)
+    k = num_powers.shape[1]
+    jac = np.empty((x.size, k + den_powers.shape[1]))
+    np.divide(num_powers, q[:, None], out=jac[:, :k])
+    np.multiply(den_powers, d_den[:, None], out=jac[:, k:])
+    return jac
 
 
 def grad_coeffs_batch(rf: RationalFunction, xs: np.ndarray, upstream: np.ndarray,
-                      parts=None, dq=None):
+                      parts=None, dq=None, powers=None):
     """Accumulated coefficient gradients sum_i upstream_i * dR/dtheta(x_i).
 
     This is the workhorse for training: with upstream = dLoss/dR(x_i) it
@@ -264,7 +274,8 @@ def grad_coeffs_batch(rf: RationalFunction, xs: np.ndarray, upstream: np.ndarray
     the variant's stored layout (k=0..n raw, k=1..n safe).  ``parts`` is
     the (p, q, t) that ``eval_parts`` returned for the same xs; without it
     they are evaluated here.  ``dq`` is ``dq_dt(rf, t)`` of those parts,
-    as in ``grad_input_batch``.
+    as in ``grad_input_batch``.  ``powers`` is ``coeff_powers(rf, xs)``, for
+    a caller that built it once for its grid.
     """
     x = np.ravel(np.asarray(xs, dtype=float))
     u = np.ravel(np.asarray(upstream, dtype=float))
@@ -272,7 +283,7 @@ def grad_coeffs_batch(rf: RationalFunction, xs: np.ndarray, upstream: np.ndarray
         raise ValueError("xs and upstream must have matching sizes")
     p, q, t = eval_parts(rf, x)[1] if parts is None else map(np.ravel, parts)
     dq = dq_dt(rf, t) if dq is None else np.ravel(dq)
-    num_powers, den_powers = coeff_powers(rf, x)
+    num_powers, den_powers = coeff_powers(rf, x) if powers is None else powers
     return (u / q) @ num_powers, (-u * p * dq / q**2) @ den_powers
 
 

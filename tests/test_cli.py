@@ -49,6 +49,11 @@ class TestFitCommand:
         assert code == 1
         assert "error" in result
 
+    def test_negative_max_iters_usage_error(self, capsys):
+        code, result = run_cli(capsys, "fit", "--ref", "lrelu", "--max-iters", "-1")
+        assert code == 1
+        assert "max_iters" in result["error"]
+
     def test_config_file_defaults_and_unknown_keys(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"ref": "identity", "m": 1, "n": 0,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from ratnet.rational import (RAW, SAFE, PoleError, RationalFunction,
                              coeff_jacobian, coeff_powers, dq_dt, eval_batch,
                              eval_parts, evaluate, grad_coeffs, grad_coeffs_batch,
                              grad_input, grad_input_batch, init_identity,
-                             power_matrix)
+                             polyval, power_matrix)
 
 from conftest import central_diff, random_rational
 
@@ -197,6 +199,32 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _polyval_from_constant(coeffs, x):
+    """Horner from a constant array holding the leading coefficient."""
+    x = np.asarray(x, dtype=float)
+    result = np.full(x.shape, coeffs[-1] if len(coeffs) else 0.0, dtype=float)
+    for c in coeffs[-2::-1]:
+        np.multiply(result, x, out=result)
+        np.add(result, c, out=result)
+    return result
+
+
+class TestPolyval:
+    @pytest.mark.parametrize("degree", range(-1, 8))
+    def test_bits_match_horner_from_constant(self, degree):
+        rng = np.random.default_rng(degree + 1)
+        mags = np.logspace(-3, 3, 61)
+        xs = [np.zeros(0), np.asarray(0.5), np.asarray(-0.0), np.asarray(np.inf),
+              np.array([0.0, -0.0, np.inf, -np.inf]),
+              np.concatenate((mags, -mags)), rng.normal(size=(4, 7))]
+        for scale in (1e-3, 1.0, 1e3):
+            coeffs = rng.uniform(-scale, scale, degree + 1)
+            coeffs[rng.random(coeffs.size) < 0.3] = 0.0
+            for c, x in itertools.product((coeffs, -coeffs), xs):
+                with np.errstate(invalid="ignore", over="ignore"):  # inf * 0
+                    assert _same_bits(polyval(c, x), _polyval_from_constant(c, x))
+
+
 class TestPowerMatrix:
     @pytest.mark.parametrize("k", range(1, 9))
     @pytest.mark.parametrize("x", [
@@ -236,6 +264,23 @@ class TestForwardParts:
         assert _same_bits(value, rf(z))
         assert _same_bits(slot.input_grad(z, slot_parts), slot.input_grad(z))
         assert _same_bits(slot.input_grad(z, slot_parts, dq), slot.input_grad(z))
+        # the fit's path: a flat grid, and the power matrix built once
+        for n in (0, 3):
+            rf = random_rational(rng, 5, n, variant)
+            x = rng.normal(size=64)
+            u = rng.normal(size=64)
+            parts = eval_parts(rf, x)[1]
+            dq = dq_dt(rf, parts[2])
+            powers = coeff_powers(rf, x)
+            for got, want in zip(grad_coeffs_batch(rf, x, u, parts, dq, powers),
+                                 grad_coeffs_batch(rf, x, u)):
+                assert _same_bits(got, want)
+            jac = coeff_jacobian(rf, x, powers)
+            assert _same_bits(coeff_jacobian(rf, x, powers, parts), jac)
+            assert _same_bits(coeff_jacobian(rf, x, powers, parts, dq), jac)
+            p, q, _ = parts
+            assert _same_bits(jac, np.hstack((powers[0] / q[:, None],
+                                              powers[1] * (-p * dq / (q * q))[:, None])))
 
 
 def _den_parts(rf, x):
