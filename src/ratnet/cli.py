@@ -185,14 +185,14 @@ def cmd_train(args: argparse.Namespace) -> dict:
 
 def cmd_rl(args: argparse.Namespace) -> dict:
     opt = _resolve(args, "rl")
+    cfg = DqnConfig(train_steps=opt["steps"], learning_rate=opt["lr"],
+                    seed=opt["seed"])
     env = GridWorld(width=opt["width"], height=opt["height"],
                     goal=(opt["width"] - 1, opt["height"] - 1))
     sizes = [env.n_states, *_parse_hidden(opt["hidden"]), env.n_actions]
     net = build_dense_network(sizes, activation=opt["activation"],
                               degrees=(opt["m"], opt["n"]), init=opt["init"],
                               seed=opt["seed"], track_inputs=True)
-    cfg = DqnConfig(train_steps=opt["steps"], learning_rate=opt["lr"],
-                    seed=opt["seed"])
     net, curve = dqn_train(env, net, cfg)
     agent = greedy_return(env, net)
     rng = np.random.default_rng(cfg.seed + 1)

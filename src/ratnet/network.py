@@ -10,6 +10,7 @@ are summed, and the optimizer updates the slot exactly once per step.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -293,8 +294,8 @@ class TrainConfig:
     optimizer: str = "sgd"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.optimizer not in ("sgd", "adam"):

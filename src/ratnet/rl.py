@@ -3,12 +3,14 @@
 The environment is intentionally tiny: a w x h grid with walls, a start and
 a goal, one-hot state encoding and four movement actions.  The training loop
 is the standard DQN recipe (epsilon-greedy acting, uniform replay, frozen
-target network, Huber TD loss, Adam), all driven by a single seeded
-generator so a run is exactly reproducible.
+target network tabulated once per copy, Huber TD loss, Adam), all driven
+by a single seeded generator so a run is exactly reproducible.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,7 +176,7 @@ def random_return(env: GridWorld, rng: np.random.Generator,
 
 
 class ReplayBuffer:
-    """Seeded uniform-sampling ring buffer of transitions."""
+    """Seeded uniform-sampling ring buffer of transitions in five columns."""
 
     def __init__(self, capacity: int, min_size: int, rng: np.random.Generator):
         if capacity < 1 or min_size < 1 or min_size > capacity:
@@ -182,36 +184,33 @@ class ReplayBuffer:
         self.capacity = capacity
         self.min_size = min_size
         self._rng = rng
-        self._data: list = []
+        self._states, self._actions, self._nexts = np.zeros((3, capacity), dtype=np.int64)
+        self._rewards, self._dones = np.zeros((2, capacity))
+        self._size = 0
         self._next = 0
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._size
 
     @property
     def ready(self) -> bool:
-        return len(self._data) >= self.min_size
+        return self._size >= self.min_size
 
     def push(self, state: int, action: int, reward: float, next_state: int,
              done: bool) -> None:
-        item = (state, action, reward, next_state, done)
-        if len(self._data) < self.capacity:
-            self._data.append(item)
-        else:
-            self._data[self._next] = item
-        self._next = (self._next + 1) % self.capacity
+        i = self._next
+        self._states[i], self._actions[i], self._rewards[i] = state, action, reward
+        self._nexts[i], self._dones[i] = next_state, done
+        self._next = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int):
         if not self.ready:
-            raise ValueError(f"buffer holds {len(self._data)} transitions; "
+            raise ValueError(f"buffer holds {self._size} transitions; "
                              f"sampling requires at least {self.min_size}")
-        idx = self._rng.integers(len(self._data), size=batch_size)
-        states = np.array([self._data[i][0] for i in idx], dtype=np.int64)
-        actions = np.array([self._data[i][1] for i in idx], dtype=np.int64)
-        rewards = np.array([self._data[i][2] for i in idx], dtype=float)
-        nexts = np.array([self._data[i][3] for i in idx], dtype=np.int64)
-        dones = np.array([self._data[i][4] for i in idx], dtype=float)
-        return states, actions, rewards, nexts, dones
+        idx = self._rng.integers(self._size, size=batch_size)
+        return (self._states[idx], self._actions[idx], self._rewards[idx],
+                self._nexts[idx], self._dones[idx])
 
 
 @dataclass
@@ -235,6 +234,12 @@ class DqnConfig:
             raise ValueError("need epsilon_start >= epsilon_end >= 0")
         if self.epsilon_decay_steps < 1:
             raise ValueError("epsilon_decay_steps must be >= 1")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if self.train_steps < 0:
+            raise ValueError("train_steps must be >= 0")
+        if self.target_update_freq < 1 or self.eval_freq < 1:
+            raise ValueError("target_update_freq and eval_freq must be >= 1")
 
 
 def epsilon_at(cfg: DqnConfig, step: int) -> float:
@@ -251,14 +256,11 @@ def huber_grad(delta: np.ndarray) -> np.ndarray:
     return np.clip(delta, -HUBER_DELTA, HUBER_DELTA)
 
 
-def _one_hot(indices: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((indices.size, n))
-    out[np.arange(indices.size), indices] = 1.0
-    return out
-
-
 def greedy_return(env: GridWorld, net: NetworkSpec) -> float:
-    """Episode return of the network's greedy policy (no exploration)."""
+    """Episode return of the network's greedy policy (no exploration).  Each
+    distinct cell gets one 1-row forward; a row of a multi-row table could
+    differ from it in the last bits."""
+    @functools.cache
     def policy(cell) -> int:
         q, _ = forward(net, env.encode(cell)[None, :], track=False)
         return int(np.argmax(q[0]))
@@ -273,7 +275,9 @@ def dqn_train(env: GridWorld, net: NetworkSpec, cfg: DqnConfig,
     eval_freq steps.  One generator seeded with cfg.seed drives exploration
     and replay sampling, so runs are bitwise reproducible.  ``probe``, when
     given, is called as probe(step, net, target) after every step; it must
-    not mutate anything.
+    not mutate anything.  The target is frozen between copies, so each copy
+    tabulates max_a Q_target over the n_states one-hot states in one forward
+    and updates index that table with their sampled next states.
     """
     if net.in_size != env.n_states or net.out_size != env.n_actions:
         raise ValueError(f"Q-network must map {env.n_states} state features to "
@@ -282,7 +286,9 @@ def dqn_train(env: GridWorld, net: NetworkSpec, cfg: DqnConfig,
     buffer = ReplayBuffer(cfg.buffer_capacity, cfg.initial_fill, rng)
     opt = Optimizer(net, TrainConfig(learning_rate=cfg.learning_rate,
                                      optimizer="adam", seed=cfg.seed))
+    eye = np.eye(env.n_states)
     target = clone_network(net)
+    next_max = forward(target, eye, track=False)[0].max(axis=1)
     curve: list = []
 
     state_idx = env.state_index(env.start)
@@ -305,11 +311,8 @@ def dqn_train(env: GridWorld, net: NetworkSpec, cfg: DqnConfig,
 
         if buffer.ready:
             states, actions, rewards, nexts, dones = buffer.sample(BATCH_SIZE)
-            x = _one_hot(states, env.n_states)
-            x_next = _one_hot(nexts, env.n_states)
-            q, cache = forward(net, x, track=True)
-            q_next, _ = forward(target, x_next, track=False)
-            td_target = rewards + cfg.gamma * q_next.max(axis=1) * (1.0 - dones)
+            q, cache = forward(net, eye[states], track=True)
+            td_target = rewards + cfg.gamma * next_max[nexts] * (1.0 - dones)
             td_error = q[np.arange(BATCH_SIZE), actions] - td_target
             if not np.all(np.isfinite(td_error)):
                 raise RuntimeError(f"non-finite TD error at step {step_i}")
@@ -320,6 +323,7 @@ def dqn_train(env: GridWorld, net: NetworkSpec, cfg: DqnConfig,
 
         if (step_i + 1) % cfg.target_update_freq == 0:
             target = clone_network(net)
+            next_max = forward(target, eye, track=False)[0].max(axis=1)
         if (step_i + 1) % cfg.eval_freq == 0:
             curve.append((step_i + 1, greedy_return(env, net)))
         if probe is not None:

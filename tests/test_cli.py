@@ -136,6 +136,17 @@ class TestRlCommand:
         scores = (out / "scores.csv").read_text().splitlines()
         assert scores[0] == "agent,random,baseline,normalized"
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+        ("--steps", "-1", "train_steps")])
+    def test_bad_config_rejected_before_training(self, tmp_path, capsys,
+                                                 flag, value, field):
+        out = tmp_path / "rl"
+        code, result = run_cli(capsys, "rl", flag, value, "--out", str(out))
+        assert code == 1
+        assert result["error"].startswith(f"ValueError: {field}")
+        assert not out.exists()
+
 
 class TestProfileCommand:
     def test_profile_csv_format(self, tmp_path, capsys):

@@ -551,6 +551,11 @@ class TestTrainClassifier:
                                                   seed=0))
         assert max(history["train_accuracy"]) >= 0.99
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")])
+    def test_config_rejects_bad_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
     def test_zero_epochs_returns_initial_accuracy(self):
         dataset = make_blobs(n_per_class=20, seed=1)
         net = build_dense_network([2, 4, 2], init="identity", seed=1)

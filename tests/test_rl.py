@@ -1,13 +1,18 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratnet import rl
 from ratnet.network import build_dense_network, forward
 from ratnet.rl import (ACTIONS, DqnConfig, GridWorld, ReplayBuffer,
                        ScoreNormalizationError, ScoreReport, dqn_train,
                        epsilon_at, greedy_return, normalize_score,
-                       optimal_return, random_return, value_iteration)
+                       optimal_return, random_return, rollout_return,
+                       value_iteration)
 
 
 class TestGridWorld:
@@ -87,8 +92,8 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=3, min_size=1, rng=rng)
         for i in range(5):
             buf.push(i, 0, 0.0, i, False)
-        stored = sorted(item[0] for item in buf._data)
-        assert stored == [2, 3, 4]
+        drawn = {int(s) for _ in range(200) for s in buf.sample(4)[0]}
+        assert drawn == {2, 3, 4}
 
     def test_sampling_before_fill_rejected(self, rng):
         buf = ReplayBuffer(capacity=10, min_size=5, rng=rng)
@@ -106,6 +111,44 @@ class TestReplayBuffer:
                 buf.push(i, i % 4, float(i), i, False)
             samples.append(buf.sample(16)[0])
         assert np.array_equal(samples[0], samples[1])
+
+    def test_sample_golden(self):
+        # 57 pushes wrap a 40-slot ring; the storage must keep the draw
+        # sequence, the values and the dtypes that DQN updates consume
+        buf = ReplayBuffer(capacity=40, min_size=1, rng=np.random.default_rng(11))
+        for i in range(57):
+            buf.push(i % 25, i % 4, -1.0 + 0.5 * (i % 3), (i * 7) % 25, i % 5 == 0)
+        states, actions, rewards, nexts, dones = buf.sample(32)
+        assert [a.dtype for a in (states, actions, rewards, nexts, dones)] == [
+            np.int64, np.int64, np.float64, np.int64, np.float64]
+        assert states.tolist() == [20, 20, 6, 19, 23, 24, 3, 16, 19, 20, 6, 12, 21, 17,
+                                   21, 20, 5, 12, 14, 24, 9, 4, 20, 20, 17, 1, 14, 1,
+                                   9, 20, 3, 6]
+        assert actions.tolist() == [1, 1, 3, 3, 3, 0, 0, 1, 3, 1, 0, 1, 1, 2, 1, 1, 2,
+                                    1, 3, 0, 2, 2, 1, 0, 1, 2, 3, 3, 2, 1, 1, 3]
+        assert rewards.tolist() == [-1.0, -1.0, -0.5, -0.5, 0.0, -1.0, -0.5, 0.0, -0.5,
+                                    -1.0, 0.0, -0.5, -1.0, -1.0, -1.0, -1.0, -1.0,
+                                    -0.5, -1.0, -1.0, -0.5, -1.0, -1.0, 0.0, 0.0, 0.0,
+                                    -1.0, -1.0, -0.5, -1.0, 0.0, -0.5]
+        assert nexts.tolist() == [15, 15, 17, 8, 11, 18, 21, 12, 8, 15, 17, 9, 22, 19,
+                                  22, 15, 10, 9, 23, 18, 13, 3, 15, 15, 19, 7, 23, 7,
+                                  13, 15, 21, 17]
+        assert dones.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0,
+                                  0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                  1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+
+
+class TestDqnConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("train_steps", -5), ("target_update_freq", 0), ("target_update_freq", -3),
+        ("eval_freq", 0), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("learning_rate", 0.0)])
+    def test_rejects_values_that_fail_late_or_silently(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DqnConfig(**{field: value})
+
+    def test_zero_steps_allowed(self):
+        assert DqnConfig(train_steps=0).train_steps == 0
 
 
 class TestEpsilonSchedule:
@@ -233,6 +276,73 @@ class TestDqnTrain:
         for sid in net_a.slots:
             assert np.array_equal(net_a.slots[sid].activation.numerator,
                                   net_b.slots[sid].activation.numerator)
+
+    # sha256 of the trained net's JSON (histograms included) plus the greedy
+    # curve.  The target table, the replay columns and the greedy memo only
+    # skip repeated work, so every trained number must stay bitwise equal;
+    # a BLAS whose gemm rows depend on the batch's row count would move these
+    GOLDEN = {
+        "5x5_rational": (
+            dict(), [64, 64], "rational", "identity", 0,
+            dict(train_steps=1500, eval_freq=500, seed=0),
+            "cca15628f292b8df4407b9829281e67438be236e29b04984cbd55d9a10dd6cce"),
+        "3x4_walls_shared": (
+            dict(width=3, height=4, goal=(2, 3), walls=frozenset({(1, 1)})),
+            [16, 16], "shared-rational", "identity", 1,
+            dict(train_steps=1200, initial_fill=100, target_update_freq=100,
+                 eval_freq=300, seed=1),
+            "3edc153f32d089831a2e11994def4fb2d61526afa01f47c7a0e096ba64f05797"),
+        "2x2_fixed_lrelu": (
+            dict(width=2, height=2, goal=(1, 1), max_steps=20), [8], "lrelu",
+            "identity", 2,
+            dict(train_steps=800, initial_fill=50, target_update_freq=60,
+                 eval_freq=200, seed=2),
+            "6eb8a1f08f4900042cb6a146c67d0e895ffab8376a410eafc4522ad54fba1c30"),
+        "6x6_lrelu_init": (
+            dict(width=6, height=6, goal=(5, 5)), [32, 32], "rational", "lrelu", 3,
+            dict(train_steps=1000, initial_fill=200, eval_freq=250, seed=3),
+            "a2872fa878d363d438a4b442c34029782eb3abd2cc7f12596f0af6122801d729"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_trained_bits_pinned(self, name):
+        env_kw, hidden, activation, init, net_seed, cfg_kw, digest = self.GOLDEN[name]
+        env = GridWorld(**env_kw)
+        net = build_dense_network([env.n_states, *hidden, env.n_actions],
+                                  activation=activation, init=init, seed=net_seed,
+                                  track_inputs=True)
+        net, curve = dqn_train(env, net, DqnConfig(**cfg_kw))
+        blob = json.dumps({"net": net.to_dict(),
+                           "curve": [[int(s), float(r)] for s, r in curve]},
+                          sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_greedy_return_one_forward_per_cell(self, monkeypatch):
+        env = GridWorld(width=3, height=3, goal=(2, 2), max_steps=40)
+        nets = [build_dense_network([25, 64, 64, 4], init="identity", seed=0)]
+        for seed in range(5):
+            net = build_dense_network([env.n_states, 16, env.n_actions],
+                                      init="identity", seed=seed)
+            cfg = DqnConfig(train_steps=150 + 100 * seed, initial_fill=50,
+                            target_update_freq=50, eval_freq=1000, seed=seed)
+            nets.append(dqn_train(env, net, cfg)[0])
+        calls = []
+        monkeypatch.setattr(rl, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+        for k, net in enumerate(nets):
+            grid = GridWorld() if net.in_size == 25 else env
+            visited = []
+
+            def unmemoized(cell):
+                visited.append(cell)
+                q, _ = forward(net, grid.encode(cell)[None, :], track=False)
+                return int(np.argmax(q[0]))
+
+            expected = rollout_return(grid, unmemoized)
+            calls.clear()
+            assert greedy_return(grid, net) == expected
+            assert len(calls) == len(set(visited))
+            if k == 0:  # the untrained 5x5 net loops: 100 steps over 6 cells
+                assert len(visited) == 100 and len(set(visited)) == 6
 
     def test_wrong_network_shape_rejected(self):
         env = GridWorld()
