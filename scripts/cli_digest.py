@@ -16,12 +16,19 @@ With no arguments, a fixed list covering all six subcommands runs.
 
 `--check FILE` compares the lines with a digest saved from an earlier run
 instead of printing them: it prints only the lines that differ, as a
-unified diff, and exits 1 when any do.
+unified diff, and exits 1 when any do.  Lines of FILE that start with `#`
+are skipped; `tests/cli_digest.txt` starts with the `versions()` line, since
+the bits can move with numpy or the BLAS.
 
     python scripts/cli_digest.py
     python scripts/cli_digest.py "fit --ref tanh --seed 1" "rl --steps 300"
     python scripts/cli_digest.py > digest.txt   # on the base checkout
     python scripts/cli_digest.py --check digest.txt   # on the changed one
+
+Regenerating the committed digest, from the repository root:
+
+    { PYTHONPATH=src:scripts python -c "import cli_digest; print(cli_digest.versions())"
+      PYTHONPATH=src python scripts/cli_digest.py; } > tests/cli_digest.txt
 """
 
 import argparse
@@ -34,6 +41,8 @@ import shlex
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from ratnet import cli
 from ratnet.rational import RAW, init_identity
@@ -64,6 +73,12 @@ INVOCATIONS = (
     "train --dataset spirals --activation shared-rational --epochs 20 --seed 0",
     "train --optimizer sgd --epochs 3 --init identity --seed 1",
 )
+
+
+def versions() -> str:
+    """A `#` line naming numpy's version and the BLAS's name and version."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}, blas {blas['name']} {blas['version']}"
 
 
 def digest(stdout: str, out_dir: Path) -> str:
@@ -101,7 +116,8 @@ def main() -> int:
             if not args.check:
                 print(lines[-1], flush=True)
     if args.check:
-        saved = Path(args.check).read_text().splitlines()
+        saved = [line for line in Path(args.check).read_text().splitlines()
+                 if not line.startswith("#")]
         diff = list(difflib.unified_diff(saved, lines, args.check, "this run",
                                          lineterm="", n=0))
         if diff:

@@ -155,6 +155,9 @@ def _parse_hidden(text: str) -> list[int]:
 
 def cmd_train(args: argparse.Namespace) -> dict:
     opt = _resolve(args, "train")
+    cfg = TrainConfig(learning_rate=opt["lr"], batch_size=opt["batch_size"],
+                      epochs=opt["epochs"], seed=opt["seed"],
+                      optimizer=opt["optimizer"])
     if opt["data"] is not None:
         dataset = load_csv(opt["data"])
     elif opt["dataset"] == "blobs":
@@ -169,9 +172,6 @@ def cmd_train(args: argparse.Namespace) -> dict:
     net = build_dense_network(sizes, activation=opt["activation"],
                               degrees=(opt["m"], opt["n"]), init=opt["init"],
                               seed=opt["seed"], track_inputs=True)
-    cfg = TrainConfig(learning_rate=opt["lr"], batch_size=opt["batch_size"],
-                      epochs=opt["epochs"], seed=opt["seed"],
-                      optimizer=opt["optimizer"])
     net, history = train_classifier(net, dataset, cfg)
     _log(f"train: final train accuracy {history['train_accuracy'][-1]:.3f}")
     if opt["out"] is not None:

@@ -78,10 +78,14 @@ class DistanceConfig:
 
     def __post_init__(self):
         lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError("domain must satisfy lo < hi")
-        if self.quad_points < 2:
-            raise ValueError("quad_points must be >= 2")
+        # an infinite end or width would turn the nodes into inf and nan
+        if not (lo < hi and np.isfinite(hi - lo)):
+            raise ValueError("domain must satisfy lo < hi with a finite width")
+        if not (isinstance(self.quad_points, (int, np.integer)) and self.quad_points >= 2):
+            raise ValueError("quad_points must be an integer >= 2")
+        # the simplex's step count never equals a negative or fractional cap
+        if not (self.refine_iters >= 0 and float(self.refine_iters).is_integer()):
+            raise ValueError("refine_iters must be a whole number >= 0")
 
 
 def _nodes_and_weights(domain, quad_points):

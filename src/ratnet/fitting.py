@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import (RationalFunction, SAFE, coeff_jacobian, coeff_powers,
-                       dq_dt, eval_batch, eval_parts, grad_coeffs_batch)
+from .rational import (Evaluation, RationalFunction, SAFE, coeff_jacobian,
+                       coeff_powers, eval_batch, grad_coeffs_batch)
 
 GRAD_TOLERANCE = 1e-10  # sup-norm gradient threshold for "converged"
 # Levenberg-Marquardt damping: its start, the factor it grows by after a
@@ -195,16 +195,16 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
     ys = np.asarray(ref(xs), dtype=float)
 
     def residual(t: np.ndarray):
-        """(residual vector, mse, rational, its eval_parts parts) at t;
-        (None, inf, None, None) where t is not finite."""
+        """(residual vector, mse, the rational's Evaluation on the grid) at
+        t; (None, inf, None) where t is not finite."""
         if not np.all(np.isfinite(t)):
-            return None, np.inf, None, None
+            return None, np.inf, None
         rf = RationalFunction(*_unpack(t, m), SAFE)
         # overflow at a trial point just means "reject the step"
         with np.errstate(over="ignore", invalid="ignore"):
-            value, parts = eval_parts(rf, xs)
-            r = value - ys
-            return r, float(np.mean(r * r)), rf, parts
+            ev = Evaluation(rf, xs, powers)
+            r = ev.value - ys
+            return r, float(np.mean(r * r)), ev
 
     # checked before any feature matrix is built: on an interval wide enough
     # to overflow x^j the linearized solves would only spray warnings.  A
@@ -223,19 +223,17 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
         """LM from theta for at most `budget` trials, accepting only steps
         that lower the loss, and giving up once the loss cannot fall below
         `incumbent` (see fit); returns (theta, loss, trials, converged)."""
-        r, loss, rf, parts = residual(theta)
+        r, loss, ev = residual(theta)
         damping = LM_DAMPING
         eye = np.eye(theta.size)
         trials = 0
         while True:
-            # the accepted trial's P, Q and T serve the gradient and the
+            # the accepted trial's evaluation serves the gradient and the
             # Jacobian, which are taken at the same theta
-            dq = dq_dt(rf, parts[2])
-            grad = np.concatenate(grad_coeffs_batch(rf, xs, 2.0 * r / xs.size,
-                                                    parts, dq, powers))
+            grad = np.concatenate(grad_coeffs_batch(ev, 2.0 * r / xs.size))
             if np.max(np.abs(grad)) <= GRAD_TOLERANCE:
                 return theta, loss, trials, True
-            jac = coeff_jacobian(rf, xs, powers, parts, dq)
+            jac = coeff_jacobian(ev)
             # Marquardt's damping H + lambda * diag(H), solved in the
             # diagonally scaled variables where diag(H) becomes the identity
             hess = (2.0 / xs.size) * (jac.T @ jac)
@@ -247,7 +245,7 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
                 trials += 1
                 step = np.linalg.solve(unit + damping * eye, -grad / scale)
                 cand = theta + step / scale
-                cand_r, cand_loss, cand_rf, cand_parts = residual(cand)
+                cand_r, cand_loss, cand_ev = residual(cand)
                 if cand_loss < loss:
                     break
                 damping *= LM_FACTOR
@@ -255,7 +253,7 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
                     # no improving step exists at float resolution
                     return theta, loss, trials, True
             decrease = (loss - cand_loss) / loss
-            theta, r, loss, rf, parts = cand, cand_r, cand_loss, cand_rf, cand_parts
+            theta, r, loss, ev = cand, cand_r, cand_loss, cand_ev
             damping = max(damping / LM_FACTOR, LM_DAMPING_FLOOR)
             if decrease <= STALL_TOLERANCE:
                 return theta, loss, trials, True

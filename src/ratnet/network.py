@@ -19,7 +19,7 @@ import numpy as np
 from .distance import DistanceConfig, rnd
 from .fitting import ReferenceActivation, fit
 from .histogram import Histogram
-from .rational import (RationalFunction, dq_dt, eval_parts, grad_coeffs_batch,
+from .rational import (Evaluation, RationalFunction, grad_coeffs_batch,
                        grad_input_batch, init_identity)
 
 # optimizer coefficients: SGD momentum and Adam's moment decays and epsilon
@@ -65,17 +65,18 @@ class ActivationSlot:
         return isinstance(self.activation, RationalFunction)
 
     def apply(self, z: np.ndarray, track: bool = True):
-        """The activation's value at z and, for a rational, the (p, q, t)
-        that the gradients at the same z can reuse (None otherwise)."""
+        """The activation's value at z and, for a rational, the Evaluation
+        that the gradients at the same z reuse (None otherwise)."""
         if track and self.histogram is not None:
             self.histogram.observe(z)
         if self.trainable:
-            return eval_parts(self.activation, z)
+            ev = Evaluation(self.activation, z)
+            return ev.value, ev
         return self.activation(z), None
 
-    def input_grad(self, z: np.ndarray, parts=None, dq=None) -> np.ndarray:
+    def input_grad(self, z: np.ndarray, ev: Evaluation | None = None) -> np.ndarray:
         if self.trainable:
-            return grad_input_batch(self.activation, z, parts, dq)
+            return grad_input_batch(Evaluation(self.activation, z) if ev is None else ev)
         if self.activation.grad is None:
             raise ValueError(f"slot {self.slot_id!r} has no derivative; "
                              "it cannot be trained through")
@@ -206,7 +207,7 @@ class ForwardCache:
     net_id: int
     version: int
     activations: list   # the activation object each site evaluated, or None
-    parts: list         # (p, q, t) of each rational site, else None
+    evals: list         # the Evaluation of each rational site, else None
 
 
 @dataclass
@@ -227,16 +228,16 @@ def forward(net: NetworkSpec, batch, track: bool = True):
     inputs = []
     pre_acts = []
     activations = []
-    parts = []
+    evals = []
     for i, layer in enumerate(net.layers):
         inputs.append(h)
         z = h @ layer.weights.T + layer.biases
         pre_acts.append(z)
         slot = net.slot_at(i)
         activations.append(None if slot is None else slot.activation)
-        h, site_parts = slot.apply(z, track=track) if slot is not None else (z, None)
-        parts.append(site_parts)
-    return h, ForwardCache(inputs, pre_acts, h, id(net), net.version, activations, parts)
+        h, ev = slot.apply(z, track=track) if slot is not None else (z, None)
+        evals.append(ev)
+    return h, ForwardCache(inputs, pre_acts, h, id(net), net.version, activations, evals)
 
 
 def backward(net: NetworkSpec, cache: ForwardCache, loss_grad) -> Gradients:
@@ -246,7 +247,9 @@ def backward(net: NetworkSpec, cache: ForwardCache, loss_grad) -> Gradients:
     gradients of a slot referenced at several sites are summed over sites,
     which is the standard weight-sharing rule.
 
-    The rational sites reuse the (p, q, t) that forward evaluated.  A cache
+    Each rational site's gradients read the Evaluation that forward kept,
+    so the polynomials are not evaluated again and dQ/dT is taken once per
+    site for both gradients.  A cache
     is stale, and raises, once an optimizer step ran or a slot's activation
     was replaced since forward; coefficients edited in place are not
     detected.
@@ -269,15 +272,13 @@ def backward(net: NetworkSpec, cache: ForwardCache, loss_grad) -> Gradients:
         slot = net.slot_at(i)
         z = cache.pre_acts[i]
         if slot is not None:
-            site_parts, dq = cache.parts[i], None
+            ev = cache.evals[i]
             if slot.trainable:
-                # dQ/dT once per site, for both gradients
-                dq = dq_dt(slot.activation, site_parts[2])
-                d_num, d_den = grad_coeffs_batch(slot.activation, z, delta, site_parts, dq)
+                d_num, d_den = grad_coeffs_batch(ev, delta)
                 acc_num, acc_den = slot_grads[slot.slot_id]
                 acc_num += d_num
                 acc_den += d_den
-            delta = delta * slot.input_grad(z, site_parts, dq)
+            delta = delta * slot.input_grad(z, ev)
         layer = net.layers[i]
         layer_grads[i] = (delta.T @ cache.inputs[i], delta.sum(axis=0))
         if i > 0:
@@ -298,6 +299,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:  # zero epochs reports the initial accuracies
+            raise ValueError("epochs must be >= 0")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be 'sgd' or 'adam'")
 

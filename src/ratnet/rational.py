@@ -8,11 +8,16 @@ b_1..b_n, pins t_0 = 0 and evaluates Q = 1 + |T|, so Q >= 1 everywhere and
 training can never step onto a pole.  Its dQ/dT is sign(T), taken as 0 at the
 kink.  This module is the only one that knows these rules: every value and
 derivative of R takes one batched path, and the scalar functions wrap it.
+
+That path is an ``Evaluation``, R at an array x kept with the P, Q and T it
+divided: the gradients and the Jacobian take it, so backpropagation and the
+fit differentiate R without evaluating the polynomials again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +100,7 @@ class RationalFunction:
 
     def __call__(self, x):
         """Vectorized evaluation; preserves the input shape."""
-        return eval_parts(self, np.asarray(x, dtype=float))[0]
+        return Evaluation(self, np.asarray(x, dtype=float)).value
 
     def copy(self) -> "RationalFunction":
         return RationalFunction(self.numerator.copy(), self.denominator.copy(), self.variant)
@@ -149,30 +154,6 @@ def inner_poly(rf: RationalFunction) -> np.ndarray:
     return np.concatenate(([0.0], rf.denominator))
 
 
-def _denominator_parts(rf: RationalFunction, x):
-    """Return (Q(x), T(x)); a raw Q is checked for poles here.
-
-    The safe T is evaluated as x * (b_1 + ... + b_n x^(n-1)), so its zero
-    constant term costs nothing.  Keeping T around lets gradient code take
-    dQ/dT without re-evaluating the polynomial.
-    """
-    if rf.variant == RAW:
-        q = polyval(rf.denominator, x)
-        _check_poles(q, x)
-        return q, q
-    t = polyval(rf.denominator, x)
-    t *= x
-    q = np.abs(t)
-    q += 1.0
-    return q, t
-
-
-def dq_dt(rf: RationalFunction, t):
-    """dQ/dT: 1 for raw, sign(T) for safe, whose kink at T = 0 takes the
-    subgradient 0.  ``t`` is the T that ``eval_parts`` returned."""
-    return 1.0 if rf.variant == RAW else np.sign(t)
-
-
 def _check_poles(q: np.ndarray, x: np.ndarray) -> None:
     zero = q == 0.0
     if np.any(zero):
@@ -182,15 +163,39 @@ def _check_poles(q: np.ndarray, x: np.ndarray) -> None:
         raise PoleError(xi, index=i if np.size(x) > 1 else None)
 
 
-def eval_parts(rf: RationalFunction, x: np.ndarray):
-    """R(x) over an array x, with the (P(x), Q(x), T(x)) it divides.
-
-    The gradients take these parts to skip evaluating the polynomials again
-    at the same x; a raw Q is checked for poles here.
+class Evaluation:
+    """R at an array x of floats, kept with the P(x), Q(x) and T(x) it
+    divided: reverse mode's tape for one rational site.  A raw Q is checked
+    for poles here.  ``dq`` and ``powers`` are computed on first use and
+    kept; a caller that built ``coeff_powers(rf, ravel(x))`` passes it.
     """
-    q, t = _denominator_parts(rf, x)
-    p = polyval(rf.numerator, x)
-    return p / q, (p, q, t)
+
+    def __init__(self, rf: RationalFunction, x: np.ndarray, powers=None):
+        self.rf = rf
+        self.x = x
+        # the safe T is x * (b_1 + ... + b_n x^(n-1)): its zero t_0 costs nothing
+        self.t = polyval(rf.denominator, x)
+        if rf.variant == RAW:
+            self.q = self.t
+            _check_poles(self.q, x)
+        else:
+            self.t *= x
+            self.q = np.abs(self.t)
+            self.q += 1.0
+        self.p = polyval(rf.numerator, x)
+        self.value = self.p / self.q
+        if powers is not None:
+            self.powers = powers
+
+    @cached_property
+    def dq(self):
+        """dQ/dT: 1 raw, sign(T) safe, taking the subgradient 0 at T = 0."""
+        return 1.0 if self.rf.variant == RAW else np.sign(self.t)
+
+    @cached_property
+    def powers(self):
+        """``coeff_powers`` over the flattened x."""
+        return coeff_powers(self.rf, np.ravel(self.x))
 
 
 def eval_batch(rf: RationalFunction, xs) -> np.ndarray:
@@ -201,21 +206,17 @@ def eval_batch(rf: RationalFunction, xs) -> np.ndarray:
     x = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("inputs must be finite")
-    return eval_parts(rf, x)[0]
+    return Evaluation(rf, x).value
 
 
-def grad_input_batch(rf: RationalFunction, xs, parts=None, dq=None) -> np.ndarray:
+def grad_input_batch(ev: Evaluation) -> np.ndarray:
     """Elementwise dR/dx by the quotient rule, with dQ/dx = dQ/dT * T'(x).
 
     At the safe variant's kink (T exactly zero) the subgradient 0 is used
-    for d|T|/dT, so the denominator contributes nothing there.  ``parts``
-    is the (p, q, t) that ``eval_parts`` returned for the same xs; without
-    it they are evaluated here.  ``dq`` is ``dq_dt(rf, t)`` of those parts,
-    for a caller that already took it; without it it is taken here.
+    for d|T|/dT, so the denominator contributes nothing there.
     """
-    x = np.asarray(xs, dtype=float)
-    p, q, t = eval_parts(rf, x)[1] if parts is None else parts
-    dq = (dq_dt(rf, t) if dq is None else dq) * polyval(polyder(inner_poly(rf)), x)
+    rf, x, p, q = ev.rf, ev.x, ev.p, ev.q
+    dq = ev.dq * polyval(polyder(inner_poly(rf)), x)
     return (polyval(polyder(rf.numerator), x) * q - p * dq) / (q * q)
 
 
@@ -244,46 +245,38 @@ def coeff_powers(rf: RationalFunction, x: np.ndarray):
     return v[:, :rf.m + 1], v[:, n + 1 - rf.denominator.size:n + 1]
 
 
-def coeff_jacobian(rf: RationalFunction, x: np.ndarray, powers, parts=None,
-                   dq=None) -> np.ndarray:
-    """Jacobian dR(x_i)/dtheta_j over a flat x.
+def coeff_jacobian(ev: Evaluation) -> np.ndarray:
+    """Jacobian dR(x_i)/dtheta_j at an evaluation over a flat x.
 
     The columns are the numerator's coefficients, then the stored
-    denominator's.  ``powers`` is ``coeff_powers(rf, x)``; it depends only
-    on x and the degrees, so a caller differentiating many coefficient
-    vectors on one grid builds it once.  ``parts`` and ``dq`` are as in
-    ``grad_coeffs_batch``.
+    denominator's.  The power matrix depends only on x and the degrees, so
+    a caller differentiating many coefficient vectors on one grid builds it
+    once and hands it to each ``Evaluation``.
     """
-    num_powers, den_powers = powers
-    p, q, t = eval_parts(rf, x)[1] if parts is None else parts
-    d_den = -p * (dq_dt(rf, t) if dq is None else dq) / (q * q)
+    num_powers, den_powers = ev.powers
+    p, q = ev.p, ev.q
+    d_den = -p * ev.dq / (q * q)
     k = num_powers.shape[1]
-    jac = np.empty((x.size, k + den_powers.shape[1]))
+    jac = np.empty((q.size, k + den_powers.shape[1]))
     np.divide(num_powers, q[:, None], out=jac[:, :k])
     np.multiply(den_powers, d_den[:, None], out=jac[:, k:])
     return jac
 
 
-def grad_coeffs_batch(rf: RationalFunction, xs: np.ndarray, upstream: np.ndarray,
-                      parts=None, dq=None, powers=None):
+def grad_coeffs_batch(ev: Evaluation, upstream: np.ndarray):
     """Accumulated coefficient gradients sum_i upstream_i * dR/dtheta(x_i).
 
     This is the workhorse for training: with upstream = dLoss/dR(x_i) it
     yields the loss gradient for every stored coefficient in one pass.
     Returns (d/da_j for j=0..m, d/db_k) where the denominator vector matches
-    the variant's stored layout (k=0..n raw, k=1..n safe).  ``parts`` is
-    the (p, q, t) that ``eval_parts`` returned for the same xs; without it
-    they are evaluated here.  ``dq`` is ``dq_dt(rf, t)`` of those parts,
-    as in ``grad_input_batch``.  ``powers`` is ``coeff_powers(rf, xs)``, for
-    a caller that built it once for its grid.
+    the variant's stored layout (k=0..n raw, k=1..n safe).  ``upstream``
+    holds one entry per element of ev.x, in any shape.
     """
-    x = np.ravel(np.asarray(xs, dtype=float))
     u = np.ravel(np.asarray(upstream, dtype=float))
-    if x.shape != u.shape:
-        raise ValueError("xs and upstream must have matching sizes")
-    p, q, t = eval_parts(rf, x)[1] if parts is None else map(np.ravel, parts)
-    dq = dq_dt(rf, t) if dq is None else np.ravel(dq)
-    num_powers, den_powers = coeff_powers(rf, x) if powers is None else powers
+    if u.size != np.size(ev.x):
+        raise ValueError("upstream needs one entry per element of ev.x")
+    p, q, dq = np.ravel(ev.p), np.ravel(ev.q), np.ravel(ev.dq)
+    num_powers, den_powers = ev.powers
     return (u / q) @ num_powers, (-u * p * dq / q**2) @ den_powers
 
 
@@ -294,9 +287,9 @@ def evaluate(rf: RationalFunction, x: float) -> float:
 
 def grad_input(rf: RationalFunction, x: float) -> float:
     """dR/dx at a single point; see grad_input_batch."""
-    return float(grad_input_batch(rf, float(x)))
+    return float(grad_input_batch(Evaluation(rf, np.asarray(float(x)))))
 
 
 def grad_coeffs(rf: RationalFunction, x: float):
     """Partial derivatives of R(x) at a single point; see grad_coeffs_batch."""
-    return grad_coeffs_batch(rf, [float(x)], [1.0])
+    return grad_coeffs_batch(Evaluation(rf, np.array([float(x)])), [1.0])

@@ -88,6 +88,14 @@ class TestDistanceCommand:
         assert code == 1
         assert "error" in result
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--refine-iters=-1", "refine_iters"), ("--lo=-inf", "domain")])
+    def test_unusable_config_rejected(self, capsys, flag, field):
+        code, result = run_cli(capsys, "distance", "--f1", "sigmoid",
+                               "--f2", "tanh", flag)
+        assert code == 1
+        assert result["error"].startswith(f"ValueError: {field}")
+
 
 class TestAbsorbCommand:
     def test_identity_absorbs_to_two_x(self, tmp_path, capsys):
@@ -123,6 +131,15 @@ class TestTrainCommand:
                                "--lr", "0.05", "--seed", "1")
         assert code == 0
         assert result["final_train_accuracy"] == 1.0
+
+    def test_negative_epochs_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, result = run_cli(capsys, "train", "--epochs", "-1", "--samples", "10",
+                               "--hidden", "4", "--init", "identity",
+                               "--out", str(out))
+        assert code == 1
+        assert result["error"].startswith("ValueError: epochs")
+        assert not out.exists()
 
 
 class TestRlCommand:

@@ -1,4 +1,5 @@
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,32 @@ POLE_AT_ZERO = RationalFunction([0.0, 0.0, 1.0], [0.0, 1.0], RAW)
 
 def small_cfg(**kw):
     return DistanceConfig(quad_points=kw.pop("quad_points", 501), **kw)
+
+
+class TestDistanceConfig:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"refine_iters": -1}, "refine_iters"),
+        ({"refine_iters": 2.5}, "refine_iters"),
+        ({"refine_iters": float("nan")}, "refine_iters"),
+        ({"refine_iters": float("inf")}, "refine_iters"),
+        ({"quad_points": 300.5}, "quad_points"),
+        ({"quad_points": 301.0}, "quad_points"),
+        ({"quad_points": 1}, "quad_points"),
+        ({"domain": (-np.inf, 3.0)}, "domain"),
+        ({"domain": (-3.0, np.inf)}, "domain"),
+        ({"domain": (-1e308, 1e308)}, "domain"),
+        ({"domain": (np.nan, 3.0)}, "domain"),
+    ])
+    def test_unusable_values_rejected(self, kwargs, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=field):
+                DistanceConfig(**kwargs)
+
+    def test_whole_values_accepted(self):
+        cfg = DistanceConfig(quad_points=np.int64(11), refine_iters=0)
+        assert nd(np.tanh, np.tanh, cfg)[0] <= 1e-12
+        DistanceConfig(refine_iters=20.0)
 
 
 class TestIntegrateAbsDiff:

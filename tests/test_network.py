@@ -556,6 +556,11 @@ class TestTrainClassifier:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("epochs", [-1, -3])
+    def test_config_rejects_negative_epochs(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=epochs)
+
     def test_zero_epochs_returns_initial_accuracy(self):
         dataset = make_blobs(n_per_class=20, seed=1)
         net = build_dense_network([2, 4, 2], init="identity", seed=1)

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratnet import fitting, rational
 from ratnet.network import ActivationSlot
-from ratnet.rational import (RAW, SAFE, PoleError, RationalFunction,
-                             coeff_jacobian, coeff_powers, dq_dt, eval_batch,
-                             eval_parts, evaluate, grad_coeffs, grad_coeffs_batch,
-                             grad_input, grad_input_batch, init_identity,
-                             polyval, power_matrix)
+from ratnet.fitting import ReferenceActivation
+from ratnet.rational import (RAW, SAFE, Evaluation, PoleError, RationalFunction,
+                             coeff_jacobian, coeff_powers, eval_batch, evaluate,
+                             grad_coeffs, grad_coeffs_batch, grad_input,
+                             grad_input_batch, init_identity, polyval,
+                             power_matrix)
 
 from conftest import central_diff, random_rational
 
@@ -171,7 +173,7 @@ class TestGradCoeffs:
         rf = random_rational(rng, 4, 3)
         xs = rng.uniform(-2, 2, 50)
         upstream = rng.normal(size=50)
-        d_num, d_den = grad_coeffs_batch(rf, xs, upstream)
+        d_num, d_den = grad_coeffs_batch(Evaluation(rf, xs), upstream)
         ref_num = np.zeros_like(rf.numerator)
         ref_den = np.zeros_like(rf.denominator)
         for x, u in zip(xs, upstream):
@@ -188,9 +190,10 @@ class TestGradCoeffs:
         rf = random_rational(rng, 4, n, variant)
         xs = rng.uniform(-2, 2, 50)
         u = rng.normal(size=50)
-        jac = coeff_jacobian(rf, xs, coeff_powers(rf, xs))
+        ev = Evaluation(rf, xs)
+        jac = coeff_jacobian(ev)
         assert jac.shape == (50, rf.numerator.size + rf.denominator.size)
-        np.testing.assert_allclose(u @ jac, np.concatenate(grad_coeffs_batch(rf, xs, u)),
+        np.testing.assert_allclose(u @ jac, np.concatenate(grad_coeffs_batch(ev, u)),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -242,52 +245,74 @@ class TestPowerMatrix:
 
 
 class TestForwardParts:
-    """Gradients given the forward's (p, q, t), and the dQ/dT taken from
-    them once, are the gradients without them, bit for bit."""
+    """Gradients read from forward's Evaluation, whose dQ/dT and power
+    matrix are kept after their first use, are the gradients from a fresh
+    record, bit for bit."""
 
     @pytest.mark.parametrize("variant", [RAW, SAFE])
     def test_parts_path_matches_wrappers(self, rng, variant):
         rf = random_rational(rng, 5, 4, variant)
         z = rng.normal(size=(32, 16))
         u = rng.normal(size=(32, 16))
-        value, parts = eval_parts(rf, z)
-        dq = dq_dt(rf, parts[2])
-        assert _same_bits(value, eval_batch(rf, z))
-        for got, got_dq, want in zip(grad_coeffs_batch(rf, z, u, parts),
-                                     grad_coeffs_batch(rf, z, u, parts, dq),
-                                     grad_coeffs_batch(rf, z, u)):
-            assert _same_bits(got, want) and _same_bits(got_dq, want)
-        assert _same_bits(grad_input_batch(rf, z, parts), grad_input_batch(rf, z))
-        assert _same_bits(grad_input_batch(rf, z, parts, dq), grad_input_batch(rf, z))
+        ev = Evaluation(rf, z)
+        assert _same_bits(ev.value, eval_batch(rf, z))
+        # the first reads fill the record's dq and powers; the second reuse them
+        for _ in range(2):
+            for got, want in zip(grad_coeffs_batch(ev, u),
+                                 grad_coeffs_batch(Evaluation(rf, z), u)):
+                assert _same_bits(got, want)
+            assert _same_bits(grad_input_batch(ev), grad_input_batch(Evaluation(rf, z)))
         slot = ActivationSlot("r", rf)
-        value, slot_parts = slot.apply(z)
+        value, slot_ev = slot.apply(z)
         assert _same_bits(value, rf(z))
-        assert _same_bits(slot.input_grad(z, slot_parts), slot.input_grad(z))
-        assert _same_bits(slot.input_grad(z, slot_parts, dq), slot.input_grad(z))
+        assert _same_bits(slot.input_grad(z, slot_ev), slot.input_grad(z))
+        assert _same_bits(slot.input_grad(z, ev), slot.input_grad(z))
         # the fit's path: a flat grid, and the power matrix built once
         for n in (0, 3):
             rf = random_rational(rng, 5, n, variant)
             x = rng.normal(size=64)
             u = rng.normal(size=64)
-            parts = eval_parts(rf, x)[1]
-            dq = dq_dt(rf, parts[2])
             powers = coeff_powers(rf, x)
-            for got, want in zip(grad_coeffs_batch(rf, x, u, parts, dq, powers),
-                                 grad_coeffs_batch(rf, x, u)):
+            ev = Evaluation(rf, x, powers)
+            for got, want in zip(grad_coeffs_batch(ev, u),
+                                 grad_coeffs_batch(Evaluation(rf, x), u)):
                 assert _same_bits(got, want)
-            jac = coeff_jacobian(rf, x, powers)
-            assert _same_bits(coeff_jacobian(rf, x, powers, parts), jac)
-            assert _same_bits(coeff_jacobian(rf, x, powers, parts, dq), jac)
-            p, q, _ = parts
+            jac = coeff_jacobian(Evaluation(rf, x))
+            assert _same_bits(coeff_jacobian(ev), jac)
+            p, q, dq = ev.p, ev.q, ev.dq
             assert _same_bits(jac, np.hstack((powers[0] / q[:, None],
                                               powers[1] * (-p * dq / (q * q))[:, None])))
+
+    @pytest.mark.parametrize("variant", [RAW, SAFE])
+    def test_record_computes_dq_and_powers_once(self, rng, variant):
+        rf = random_rational(rng, 5, 4, variant)
+        x = rng.normal(size=64)
+        ev = Evaluation(rf, x)
+        assert ev.dq is ev.dq
+        assert ev.powers is ev.powers
+        powers = coeff_powers(rf, x)
+        assert Evaluation(rf, x, powers).powers is powers
+        assert _same_bits(ev.value, ev.p / ev.q)
+        with pytest.raises(ValueError, match="upstream"):
+            grad_coeffs_batch(ev, np.ones(63))
+
+    def test_fit_builds_power_matrix_once(self, monkeypatch):
+        calls = []
+
+        def counted(x, k):
+            calls.append(k)
+            return power_matrix(x, k)
+
+        monkeypatch.setattr(rational, "power_matrix", counted)
+        _, report = fitting.fit(5, 4, ReferenceActivation("lrelu"))
+        assert report.iterations > 1
+        assert len(calls) == 1
 
 
 def _den_parts(rf, x):
     """(Q(x), T(x)) for the denominator's polynomial part T."""
-    from ratnet.rational import _denominator_parts
-    q, t = _denominator_parts(rf, np.asarray(float(x)))
-    return float(q), float(t)
+    ev = Evaluation(rf, np.asarray(float(x)))
+    return float(ev.q), float(ev.t)
 
 
 def _at_kink(rf, t):

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# the digest of cli_digest.py's default invocations; see that script for how
+# to regenerate it when a change moves CLI bytes on purpose
+COMMITTED_DIGEST = Path(__file__).resolve().parent / "cli_digest.txt"
 
 
 def run_script(monkeypatch, name, *argv):
@@ -82,3 +85,14 @@ def test_cli_digest_check(monkeypatch, capsys, tmp_path):
     assert exit_info.value.code == 1
     out = capsys.readouterr().out.splitlines()
     assert f"-{stale}" in out and f"+{line}" in out and len(out) == 5
+
+
+def test_cli_digest_matches_committed(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, "cli_digest.py", "--check", str(COMMITTED_DIGEST))
+    diff = capsys.readouterr().out
+    saved = COMMITTED_DIGEST.read_text().splitlines()[0]
+    here = runpy.run_path(str(SCRIPTS / "cli_digest.py"))["versions"]()
+    assert exit_info.value.code == 0, (
+        f"CLI output differs from {COMMITTED_DIGEST.name}\n"
+        f"saved with:   {saved}\nthis machine: {here}\n{diff}")
