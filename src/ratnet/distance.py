@@ -103,8 +103,10 @@ def integrate_abs_diff(f1, f2, rp: AffineReparam, domain=(-3.0, 3.0),
     """Trapezoidal quadrature of |f1(x) - (a f2(cx + d) + b)| over the domain.
 
     ``weights``, when given, is a density evaluated at the quadrature nodes
-    (same length) that multiplies the integrand.
+    (same length) that multiplies the integrand.  ``domain`` and
+    ``quad_points`` must pass ``DistanceConfig``'s checks.
     """
+    DistanceConfig(domain, quad_points)
     xs, w = _nodes_and_weights(domain, quad_points)
     y1 = np.asarray(f1(xs), dtype=float)
     y2 = np.asarray(f2(rp.c * xs + rp.d), dtype=float)

@@ -31,6 +31,7 @@ LM_DAMPING_FLOOR = 1e-12
 LM_DAMPING_CAP = 1e16
 # an accepted step lowering the loss by at most this fraction is a stall
 STALL_TOLERANCE = 1e-10
+TINY = np.finfo(float).tiny  # floor of a Hessian diagonal entry before its root
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,8 @@ class FitConfig:
         # an infinite end or width would turn the grid into inf and nan
         if not np.isfinite(hi - lo):
             raise ValueError("interval must be finite, and so must hi - lo")
-        if self.n_points < 2:
-            raise ValueError("n_points must be >= 2")
+        if not (isinstance(self.n_points, (int, np.integer)) and self.n_points >= 2):
+            raise ValueError("n_points must be an integer >= 2")
         # the trial count never equals a negative or fractional cap
         if not (self.max_iters >= 0 and float(self.max_iters).is_integer()):
             raise ValueError("max_iters must be a whole number >= 0")
@@ -197,14 +198,16 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
     def residual(t: np.ndarray):
         """(residual vector, mse, the rational's Evaluation on the grid) at
         t; (None, inf, None) where t is not finite."""
-        if not np.all(np.isfinite(t)):
+        try:
+            rf = RationalFunction(*_unpack(t, m), SAFE)
+        except ValueError:  # the constructor's finiteness check
             return None, np.inf, None
-        rf = RationalFunction(*_unpack(t, m), SAFE)
         # overflow at a trial point just means "reject the step"
         with np.errstate(over="ignore", invalid="ignore"):
             ev = Evaluation(rf, xs, powers)
             r = ev.value - ys
-            return r, float(np.mean(r * r)), ev
+            # np.mean's own sum and division, without its dispatch
+            return r, float(np.add.reduce(r * r) / xs.size), ev
 
     # checked before any feature matrix is built: on an interval wide enough
     # to overflow x^j the linearized solves would only spray warnings.  A
@@ -231,14 +234,14 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
             # the accepted trial's evaluation serves the gradient and the
             # Jacobian, which are taken at the same theta
             grad = np.concatenate(grad_coeffs_batch(ev, 2.0 * r / xs.size))
-            if np.max(np.abs(grad)) <= GRAD_TOLERANCE:
+            if np.abs(grad).max() <= GRAD_TOLERANCE:
                 return theta, loss, trials, True
             jac = coeff_jacobian(ev)
             # Marquardt's damping H + lambda * diag(H), solved in the
             # diagonally scaled variables where diag(H) becomes the identity
             hess = (2.0 / xs.size) * (jac.T @ jac)
-            scale = np.sqrt(np.maximum(np.diag(hess), np.finfo(float).tiny))
-            unit = hess / np.outer(scale, scale)
+            scale = np.sqrt(np.maximum(hess.diagonal(), TINY))
+            unit = hess / (scale[:, None] * scale)
             while True:
                 if trials == budget:
                     return theta, loss, trials, False

@@ -246,21 +246,23 @@ def coeff_powers(rf: RationalFunction, x: np.ndarray):
 
 
 def coeff_jacobian(ev: Evaluation) -> np.ndarray:
-    """Jacobian dR(x_i)/dtheta_j at an evaluation over a flat x.
+    """Jacobian dR(x_i)/dtheta_j at an evaluation over a flat x, column-major.
 
     The columns are the numerator's coefficients, then the stored
-    denominator's.  The power matrix depends only on x and the degrees, so
-    a caller differentiating many coefficient vectors on one grid builds it
-    once and hands it to each ``Evaluation``.
+    denominator's.  Each column is filled as one contiguous row of J^T, and
+    J is returned as that array's transpose, so it is Fortran-ordered.  The
+    power matrix depends only on x and the degrees, so a caller
+    differentiating many coefficient vectors on one grid builds it once and
+    hands it to each ``Evaluation``.
     """
     num_powers, den_powers = ev.powers
     p, q = ev.p, ev.q
     d_den = -p * ev.dq / (q * q)
     k = num_powers.shape[1]
-    jac = np.empty((q.size, k + den_powers.shape[1]))
-    np.divide(num_powers, q[:, None], out=jac[:, :k])
-    np.multiply(den_powers, d_den[:, None], out=jac[:, k:])
-    return jac
+    jac_t = np.empty((k + den_powers.shape[1], q.size))
+    np.divide(num_powers.T, q, out=jac_t[:k])
+    np.multiply(den_powers.T, d_den, out=jac_t[k:])
+    return jac_t.T
 
 
 def grad_coeffs_batch(ev: Evaluation, upstream: np.ndarray):

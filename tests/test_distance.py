@@ -53,6 +53,17 @@ class TestDistanceConfig:
 
 
 class TestIntegrateAbsDiff:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"domain": (3.0, -3.0)}, "domain"),
+        ({"quad_points": 1}, "quad_points"),
+        ({"quad_points": 300.5}, "quad_points"),
+    ])
+    def test_unusable_grid_rejected(self, kwargs, field):
+        # the same rule as DistanceConfig's: a reversed domain used to give
+        # a negative integral of an absolute value
+        with pytest.raises(ValueError, match=field):
+            integrate_abs_diff(np.tanh, np.tanh, AffineReparam(a=2.0), **kwargs)
+
     def test_zero_for_identical(self):
         rp = AffineReparam()
         assert integrate_abs_diff(IDENTITY, IDENTITY, rp, domain=(-1, 1)) == 0.0

@@ -48,6 +48,43 @@ DEFAULT_FIT_SHA256 = {
     ("silu", 7): "92e6512b0861f535fb5264c353a0cb8b4dcaad1cbb2671c944c644c1923f3c8c",
 }
 
+# (iterations, final_mse.hex(), converged) of the same default fits: the LM
+# trajectory's length and end, recorded before the Jacobian became column-major
+DEFAULT_FIT_REPORTS = {
+    ("lrelu", 0): (56, "0x1.01a0095e5e5aap-15", True),
+    ("lrelu", 1): (56, "0x1.01a0095e5e010p-15", True),
+    ("lrelu", 2): (56, "0x1.01a0095e5d37fp-15", True),
+    ("lrelu", 3): (56, "0x1.01a0095e5e82fp-15", True),
+    ("lrelu", 4): (56, "0x1.01a0095e63cb7p-15", True),
+    ("lrelu", 5): (56, "0x1.01a0095e630fcp-15", True),
+    ("lrelu", 6): (56, "0x1.01a0095e62dd5p-15", True),
+    ("lrelu", 7): (56, "0x1.01a0095e5d36dp-15", True),
+    ("tanh", 0): (12, "0x1.b64f6011ac654p-41", True),
+    ("tanh", 1): (12, "0x1.b64f5a7679804p-41", True),
+    ("tanh", 2): (12, "0x1.b64f5555821b8p-41", True),
+    ("tanh", 3): (12, "0x1.b64f5b412d10fp-41", True),
+    ("tanh", 4): (12, "0x1.b64f574e9a9b6p-41", True),
+    ("tanh", 5): (12, "0x1.b64f56f424df8p-41", True),
+    ("tanh", 6): (12, "0x1.b64f5736990a6p-41", True),
+    ("tanh", 7): (12, "0x1.b64f57ccbed62p-41", True),
+    ("sigmoid", 0): (36, "0x1.62ac46f45a17dp-60", True),
+    ("sigmoid", 1): (21, "0x1.62a46e2ec7347p-60", True),
+    ("sigmoid", 2): (49, "0x1.62ac3e6b271b8p-60", True),
+    ("sigmoid", 3): (38, "0x1.62a46fd8b771fp-60", True),
+    ("sigmoid", 4): (22, "0x1.62ac46d368089p-60", True),
+    ("sigmoid", 5): (43, "0x1.62a467d6eeb91p-60", True),
+    ("sigmoid", 6): (32, "0x1.62a4700a984d1p-60", True),
+    ("sigmoid", 7): (33, "0x1.62a475af1088ap-60", True),
+    ("silu", 0): (45, "0x1.712438a59c86cp-44", True),
+    ("silu", 1): (38, "0x1.71242d9ae0696p-44", True),
+    ("silu", 2): (60, "0x1.712438a858ae5p-44", True),
+    ("silu", 3): (35, "0x1.71242d83b65b3p-44", True),
+    ("silu", 4): (40, "0x1.71247a0e65017p-44", True),
+    ("silu", 5): (24, "0x1.71242d9af3783p-44", True),
+    ("silu", 6): (41, "0x1.71242d838183fp-44", True),
+    ("silu", 7): (70, "0x1.712438a5fe21bp-44", True),
+}
+
 # fit(5, 4, sigmoid) at seed 3, recorded when its losing second start still
 # ran 4887 trials in all
 SIGMOID_SEED3_HEX = (
@@ -142,14 +179,25 @@ class TestFit:
     @pytest.mark.parametrize("kwargs", [{"interval": (-np.inf, 3.0)},
                                         {"interval": (-3.0, np.inf)},
                                         {"interval": (-1e308, 1e308)},
-                                        {"max_iters": -5}, {"max_iters": 10.5}],
+                                        {"max_iters": -5}, {"max_iters": 10.5},
+                                        {"n_points": 1000.5}, {"n_points": 1000.0},
+                                        {"n_points": 1}],
                              ids=["lo-inf", "hi-inf", "width-inf", "max-iters-negative",
-                                  "max-iters-fractional"])
+                                  "max-iters-fractional", "n-points-fractional",
+                                  "n-points-float", "n-points-one"])
     def test_config_rejects_unusable_values(self, kwargs):
-        # an infinite grid, or a negative or fractional budget that would
-        # mean "no cap"
+        # an infinite grid, a negative or fractional budget that would mean
+        # "no cap", or a grid size np.linspace cannot take
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+    def test_numpy_integer_n_points_accepted(self):
+        rf, _ = fit(3, 2, ReferenceActivation("tanh"),
+                    FitConfig(n_points=np.int64(200), max_iters=50, seed=0))
+        want, _ = fit(3, 2, ReferenceActivation("tanh"),
+                      FitConfig(n_points=200, max_iters=50, seed=0))
+        assert np.array_equal(rf.numerator, want.numerator)
+        assert np.array_equal(rf.denominator, want.denominator)
 
     def test_n_points_lower_bound(self):
         with pytest.raises(ValueError):
@@ -189,6 +237,13 @@ class TestFit:
             coeffs = np.concatenate((rf.numerator, rf.denominator))
             assert hashlib.sha256(coeffs.tobytes()).hexdigest() == \
                 DEFAULT_FIT_SHA256[name, seed], f"{name} seed {seed}"
+
+    @pytest.mark.parametrize("name", ["lrelu", "tanh", "sigmoid", "silu"])
+    def test_default_fit_reports(self, name):
+        for seed in range(8):
+            _, report = fit(5, 4, ReferenceActivation(name), FitConfig(seed=seed))
+            got = (report.iterations, report.final_mse.hex(), report.converged)
+            assert got == DEFAULT_FIT_REPORTS[name, seed], f"{name} seed {seed}"
 
     @pytest.mark.parametrize("name, mse_bound", [("lrelu", 1e-4), ("tanh", 1e-6),
                                                  ("sigmoid", 1e-6), ("silu", 1e-6)])

@@ -2,6 +2,7 @@
 
 import json
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
@@ -96,3 +97,52 @@ def test_cli_digest_matches_committed(monkeypatch, capsys):
     assert exit_info.value.code == 0, (
         f"CLI output differs from {COMMITTED_DIGEST.name}\n"
         f"saved with:   {saved}\nthis machine: {here}\n{diff}")
+
+
+def test_bench_pairs_compare():
+    compare = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["compare"]
+    parent = [100.0, 104.0, 98.0, 102.0, 101.0, 99.0, 103.0, 100.0, 97.0, 105.0]
+    change = [p * 1.3 for p in parent]
+    out = compare(parent, change, "higher", 0.25)
+    assert out["parent"] == {"q1": 99.25, "median": 100.5, "q3": 102.75}
+    assert out["change_wins"] == "10/10" and out["gain"]
+    assert out["regression"] == "within bound"
+    # a tie counts for neither side, so nine wins with one tie still gain
+    out = compare(parent, change[:-1] + [parent[-1]], "higher", 0.25)
+    assert out["change_wins"] == "9/10" and out["gain"]
+    # lower is better: the same numbers are a regression beyond a 0.25 bound
+    out = compare(parent, change, "lower", 0.25)
+    assert out["change_wins"] == "0/10" and not out["gain"]
+    assert out["regression"] == "worse"
+    # a spread wider than the bound leaves a small move unresolved
+    wide = [50.0, 150.0] * 5
+    out = compare(wide, [w * 1.01 for w in wide], "higher", 0.25)
+    assert out["regression"] == "unresolved" and not out["gain"]
+
+
+def test_bench_pairs_smoke(monkeypatch, capsys, tmp_path):
+    # one copy of the tree serves as both sides, so traced runs write their
+    # spans into the copy
+    tree = tmp_path / "tree"
+    skip = shutil.ignore_patterns("out", "__pycache__")
+    for part in ("src", "perfbench"):
+        shutil.copytree(SCRIPTS.parent / part, tree / part, ignore=skip)
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", tree)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, "bench_pairs.py", str(tree), str(tree), "--label", "smoke",
+                   "--workloads", "fit", "--seed", "1", "--pairs", "2",
+                   "--seconds", "0.05", "--claim", "fit", "ops_per_s")
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "wrote BENCH_smoke.json"
+    assert any(line.endswith("[claimed]") for line in lines)
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert [r["side"] for r in doc["runs"]] == ["parent", "change", "change", "parent",
+                                               "parent", "change"]
+    entry = doc["summary"][0]
+    assert entry["failed"] == {"parent": 0, "change": 0}
+    assert set(entry["metrics"]) == {"setup_s", "peak_rss_mb", "op_s.tail", "ops_per_s"}
+    # one tree against itself: the traced runs agree on every count
+    assert doc["traced"][0]["correct"] == [True, True]
+    assert doc["traced"][0]["counts_that_moved_parent_to_change"] == {}
