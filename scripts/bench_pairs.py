@@ -9,11 +9,13 @@ BENCH_<label>.json to the current directory:
         --workloads fit dqn distance --seed 21 --pairs 10 \\
         --claim fit ops_per_s --change "what the change does"
 
-PARENT and CHANGE are two checkouts, for example from `git archive` or
-`git clone`.  Pair i runs the parent first when i is even and the change
-first when it is odd; every run lasts `--seconds` (BENCHMARK.json's
-run_seconds by default).  Each workload also gets one traced run per side
-at seed 0, recording whether both were correct and which counts moved.
+PARENT and CHANGE are two checkouts.  PARENT must be a git checkout of the
+parent commit (`git clone`, not `git archive`), so the file records which
+commit it was measured against; the script stops at the parent's first run
+otherwise.  Pair i runs the parent first when i is even and the change first
+when it is odd; every run lasts BENCHMARK.json's run_seconds, read from
+PARENT.  Each workload also gets one traced run per side at seed 0,
+recording whether both were correct and which counts moved.
 
 For each workload and end-to-end metric the file holds each side's
 quartiles over the pairs, `change_wins` (pairs where the change reads
@@ -99,7 +101,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
     ap.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"))
     ap.add_argument("--change", dest="change_text", default="")
     args = ap.parse_args(argv)
@@ -108,7 +109,7 @@ def main(argv=None) -> int:
 
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     trees = {"parent": args.parent, "change": args.change}
 
@@ -120,6 +121,9 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 rec = run(trees[side], bench["command"], workload, args.seed, seconds, 0)
+                if side == "parent" and rec["detail"]["env"]["git_commit"] is None:
+                    raise SystemExit(f"bench_pairs: {trees[side]} has no git commit; "
+                                     "make it with git clone")
                 rec.update(side=side, pair=pair, first_in_pair=order[0])
                 runs.append(rec)
                 failed[side] += rec["result"]["failed"]
@@ -147,8 +151,7 @@ def main(argv=None) -> int:
                        "correct": [results[s]["correct"] for s in trees],
                        "counts_that_moved_parent_to_change": moved})
 
-    # the parent runs first in pair 0; perfbench reads the commit from the
-    # tree's own .git, which a copy made by git archive does not have
+    # the parent runs first in pair 0
     env = runs[0]["detail"]["env"]
     doc = {"label": args.label, "change": args.change_text, "parent": env["git_commit"]}
     if args.claim:

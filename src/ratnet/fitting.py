@@ -31,7 +31,9 @@ LM_DAMPING_FLOOR = 1e-12
 LM_DAMPING_CAP = 1e16
 # an accepted step lowering the loss by at most this fraction is a stall
 STALL_TOLERANCE = 1e-10
-TINY = np.finfo(float).tiny  # floor of a Hessian diagonal entry before its root
+# RationalFunction's message for non-finite coefficients: the one error that
+# rejects an LM trial rather than propagating
+NONFINITE_COEFFICIENTS = "coefficients must be finite"
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,9 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
         t; (None, inf, None) where t is not finite."""
         try:
             rf = RationalFunction(*_unpack(t, m), SAFE)
-        except ValueError:  # the constructor's finiteness check
+        except ValueError as err:
+            if str(err) != NONFINITE_COEFFICIENTS:
+                raise
             return None, np.inf, None
         # overflow at a trial point just means "reject the step"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -234,14 +238,14 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
             # the accepted trial's evaluation serves the gradient and the
             # Jacobian, which are taken at the same theta
             grad = np.concatenate(grad_coeffs_batch(ev, 2.0 * r / xs.size))
-            if np.abs(grad).max() <= GRAD_TOLERANCE:
+            if np.max(np.abs(grad)) <= GRAD_TOLERANCE:
                 return theta, loss, trials, True
             jac = coeff_jacobian(ev)
             # Marquardt's damping H + lambda * diag(H), solved in the
             # diagonally scaled variables where diag(H) becomes the identity
             hess = (2.0 / xs.size) * (jac.T @ jac)
-            scale = np.sqrt(np.maximum(hess.diagonal(), TINY))
-            unit = hess / (scale[:, None] * scale)
+            scale = np.sqrt(np.maximum(np.diag(hess), np.finfo(float).tiny))
+            unit = hess / np.outer(scale, scale)
             while True:
                 if trials == budget:
                     return theta, loss, trials, False

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratnet.fitting import FitConfig, ReferenceActivation, fit, sigmoid
+from ratnet import fitting
+from ratnet.fitting import (NONFINITE_COEFFICIENTS, FitConfig, ReferenceActivation, fit,
+                            sigmoid)
 from ratnet.rational import RationalFunction, SAFE
 
 from conftest import central_diff
@@ -198,6 +200,32 @@ class TestFit:
                       FitConfig(n_points=200, max_iters=50, seed=0))
         assert np.array_equal(rf.numerator, want.numerator)
         assert np.array_equal(rf.denominator, want.denominator)
+
+    def test_nonfinite_message_is_the_constructors(self):
+        with pytest.raises(ValueError) as info:
+            RationalFunction([1.0, np.nan], [0.5], SAFE)
+        assert str(info.value) == NONFINITE_COEFFICIENTS
+
+    @pytest.mark.parametrize("message", [NONFINITE_COEFFICIENTS, "another check"])
+    def test_only_nonfinite_coefficients_reject_a_trial(self, monkeypatch, message):
+        # the third construction is the first LM trial's; it fails with
+        # `message`, which rejects the step only if it is the finiteness check
+        calls = []
+
+        def construct(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ValueError(message)
+            return RationalFunction(*args)
+
+        monkeypatch.setattr(fitting, "RationalFunction", construct)
+        cfg = FitConfig(max_iters=20, seed=0)
+        if message == NONFINITE_COEFFICIENTS:
+            _, report = fit(3, 2, ReferenceActivation("tanh"), cfg)
+            assert np.isfinite(report.final_mse) and len(calls) > 3
+        else:
+            with pytest.raises(ValueError, match=message):
+                fit(3, 2, ReferenceActivation("tanh"), cfg)
 
     def test_n_points_lower_bound(self):
         with pytest.raises(ValueError):

@@ -122,22 +122,32 @@ def test_bench_pairs_compare():
 
 def test_bench_pairs_smoke(monkeypatch, capsys, tmp_path):
     # one copy of the tree serves as both sides, so traced runs write their
-    # spans into the copy
+    # spans into the copy; its benchmark runs last 0.05 s
     tree = tmp_path / "tree"
     skip = shutil.ignore_patterns("out", "__pycache__")
     for part in ("src", "perfbench"):
         shutil.copytree(SCRIPTS.parent / part, tree / part, ignore=skip)
-    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", tree)
+    bench = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    (tree / "BENCHMARK.json").write_text(json.dumps({**bench, "run_seconds": 0.05}))
     monkeypatch.chdir(tmp_path)
+    argv = (str(tree), str(tree), "--label", "smoke", "--workloads", "fit", "--seed", "1",
+            "--pairs", "2", "--claim", "fit", "ops_per_s")
+    # a copy without git history cannot name the parent commit
+    with pytest.raises(SystemExit, match="has no git commit"):
+        run_script(monkeypatch, "bench_pairs.py", *argv)
+    # a detached checkout's HEAD holds its commit
+    commit = "0123456789abcdef0123456789abcdef01234567"
+    (tree / ".git").mkdir()
+    (tree / ".git" / "HEAD").write_text(commit + "\n")
     with pytest.raises(SystemExit) as exit_info:
-        run_script(monkeypatch, "bench_pairs.py", str(tree), str(tree), "--label", "smoke",
-                   "--workloads", "fit", "--seed", "1", "--pairs", "2",
-                   "--seconds", "0.05", "--claim", "fit", "ops_per_s")
+        run_script(monkeypatch, "bench_pairs.py", *argv)
     assert exit_info.value.code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "wrote BENCH_smoke.json"
     assert any(line.endswith("[claimed]") for line in lines)
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert doc["parent"] == commit
+    assert all(r["seconds"] == 0.05 for r in doc["runs"])
     assert [r["side"] for r in doc["runs"]] == ["parent", "change", "change", "parent",
                                                "parent", "change"]
     entry = doc["summary"][0]
