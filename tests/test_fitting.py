@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratnet import fitting
-from ratnet.fitting import (NONFINITE_COEFFICIENTS, FitConfig, ReferenceActivation, fit,
-                            sigmoid)
+from ratnet.fitting import FitConfig, ReferenceActivation, fit, sigmoid
 from ratnet.rational import RationalFunction, SAFE
 
 from conftest import central_diff
@@ -201,30 +200,27 @@ class TestFit:
         assert np.array_equal(rf.numerator, want.numerator)
         assert np.array_equal(rf.denominator, want.denominator)
 
-    def test_nonfinite_message_is_the_constructors(self):
-        with pytest.raises(ValueError) as info:
-            RationalFunction([1.0, np.nan], [0.5], SAFE)
-        assert str(info.value) == NONFINITE_COEFFICIENTS
-
-    @pytest.mark.parametrize("message", [NONFINITE_COEFFICIENTS, "another check"])
-    def test_only_nonfinite_coefficients_reject_a_trial(self, monkeypatch, message):
-        # the third construction is the first LM trial's; it fails with
-        # `message`, which rejects the step only if it is the finiteness check
+    @pytest.mark.parametrize("rejected", [True, False], ids=["nonfinite", "other-error"])
+    def test_only_nonfinite_coefficients_reject_a_trial(self, monkeypatch, rejected):
+        # the third construction is the first LM trial's: the constructor's
+        # own non-finite check rejects that step, any other error propagates
         calls = []
 
-        def construct(*args):
-            calls.append(args)
+        def construct(num, den, variant):
+            calls.append(num)
             if len(calls) == 3:
-                raise ValueError(message)
-            return RationalFunction(*args)
+                if not rejected:
+                    raise ValueError("another check")
+                num = np.full_like(num, np.nan)
+            return RationalFunction(num, den, variant)
 
         monkeypatch.setattr(fitting, "RationalFunction", construct)
         cfg = FitConfig(max_iters=20, seed=0)
-        if message == NONFINITE_COEFFICIENTS:
+        if rejected:
             _, report = fit(3, 2, ReferenceActivation("tanh"), cfg)
             assert np.isfinite(report.final_mse) and len(calls) > 3
         else:
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match="another check"):
                 fit(3, 2, ReferenceActivation("tanh"), cfg)
 
     def test_n_points_lower_bound(self):
