@@ -15,7 +15,10 @@ commit it was measured against; the script stops at the parent's first run
 otherwise.  Pair i runs the parent first when i is even and the change first
 when it is odd; every run lasts BENCHMARK.json's run_seconds, read from
 PARENT.  Each workload also gets one traced run per side at seed 0,
-recording whether both were correct and which counts moved.
+recording whether both were correct and which counts moved.  The file
+also records each side's BLAS thread count in effect, read from numpy's
+bundled OpenBLAS (null where that library or its symbol is absent): a
+threaded solve can wait on a busy second core.
 
 For each workload and end-to-end metric the file holds each side's
 quartiles over the pairs, `change_wins` (pairs where the change reads
@@ -43,6 +46,18 @@ import sys
 
 TRACE_SEED = 0
 GAIN_SHARE = 0.9   # share of pairs the change must win for a gain
+# run by each side's interpreter in its tree: the OpenBLAS thread count in
+# effect, or None where numpy bundles no library exporting the getter
+BLAS_THREADS = """
+import ctypes, glob, json, os, numpy
+found = None
+for lib in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*")):
+    get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        found = get()
+print(json.dumps(found))
+"""
 
 
 def quartiles(values) -> dict:
@@ -91,6 +106,13 @@ def run(tree: str, command: list, workload: str, seed: int, seconds: float,
     return {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
             "command": " ".join(argv), "result": json.loads(lines[-1]),
             "detail": detail}
+
+
+def blas_threads(tree: str, python: str):
+    """The BLAS thread count a benchmark run in `tree` would use, or None."""
+    done = subprocess.run([python, "-c", BLAS_THREADS], cwd=tree, check=True,
+                          capture_output=True, text=True, timeout=600)
+    return json.loads(done.stdout)
 
 
 def main(argv=None) -> int:
@@ -153,7 +175,9 @@ def main(argv=None) -> int:
 
     # the parent runs first in pair 0
     env = runs[0]["detail"]["env"]
-    doc = {"label": args.label, "change": args.change_text, "parent": env["git_commit"]}
+    doc = {"label": args.label, "change": args.change_text, "parent": env["git_commit"],
+           "blas_threads": {side: blas_threads(tree, bench["command"][0])
+                            for side, tree in trees.items()}}
     if args.claim:
         doc["claim"] = {"workload": args.claim[0], "metric": args.claim[1],
                         "rule": "change wins >= 9/10 pairs and the medians differ "
@@ -187,6 +211,8 @@ def main(argv=None) -> int:
         print(f"{entry['workload']:9s} traced seed {entry['seed']}: correct "
               f"{entry['correct']}, counts moved "
               f"{entry['counts_that_moved_parent_to_change'] or 'none'}")
+    print(f"BLAS threads: parent {doc['blas_threads']['parent']}, "
+          f"change {doc['blas_threads']['change']}")
     print(f"wrote {path}")
     return 0
 

@@ -7,10 +7,10 @@ come from linear least squares: multiplying R = P/(1 + |S|) out gives
 P - y*|S| = y, which is linear in the coefficients once the sign pattern of
 S is guessed, either S >= 0 on the grid or S of the sign of x.  The optimizer
 only ever accepts improving steps, so the loss trajectory is non-increasing,
-and everything is deterministic given the seed.  Each LM trial evaluates the
-rational once; an accepted trial's P, Q and T also serve the gradient and
-the Jacobian.  The second start gives up as soon as it cannot beat the first
-within its trial budget (see ``fit``).
+and everything is deterministic given the seed.  The grid's powers x^j are
+built once: a trial's P and T, and an accepted step's gradient and
+Gauss-Newton matrix, are each one product with them (``_moment_step``).  A
+second start gives up once it cannot beat the first within its budget.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import (Evaluation, RationalFunction, SAFE, coeff_jacobian,
-                       coeff_powers, eval_batch, grad_coeffs_batch)
+from .rational import RationalFunction, SAFE, eval_batch, power_matrix
+# not called here: perfbench's tracer patches fitting.grad_coeffs_batch by name
+from .rational import grad_coeffs_batch  # noqa: F401
 
 GRAD_TOLERANCE = 1e-10  # sup-norm gradient threshold for "converged"
 # Levenberg-Marquardt damping: its start, the factor it grows by after a
@@ -31,9 +32,6 @@ LM_DAMPING_FLOOR = 1e-12
 LM_DAMPING_CAP = 1e16
 # an accepted step lowering the loss by at most this fraction is a stall
 STALL_TOLERANCE = 1e-10
-# RationalFunction's message for non-finite coefficients: the one error that
-# rejects an LM trial rather than propagating
-NONFINITE_COEFFICIENTS = "coefficients must be finite"
 
 
 @dataclass(frozen=True)
@@ -158,6 +156,37 @@ def _unpack(theta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return theta[: m + 1], theta[m + 1 :]
 
 
+def _moment_step(powers: np.ndarray, m: int, n: int):
+    """(J^T u, J^T J) of a safe (m, n) rational on a fixed grid, from weighted
+    power moments; ``powers`` holds the grid's x^j as rows, j = 0..2 max(m, n).
+
+    J's numerator columns are x^j v and its denominator columns x^k e, with
+    v = 1/Q and e = -P sign(T)/Q^2.  So J^T u is (sum u v x^j, sum u e x^k),
+    and J^T J has the Hankel blocks sum v^2 x^(i+j), sum v e x^(j+k) and
+    sum e^2 x^(k+l): one (5, N) @ (N, 2 max(m, n) + 1) product holds them
+    all.  Returns step(p, t, u), which takes P, T and u on the grid.
+    """
+    deg = np.concatenate((np.arange(m + 1), np.arange(1, n + 1)))
+    den = (np.arange(deg.size) > m).astype(int)
+    width = powers.shape[0]
+    # flat positions in the (5, width) moments: the gradient reads row 0 or
+    # 1 and J^T J row 2, 3 or 4, at the power deg_i or deg_i + deg_j
+    grad_at = den * width + deg
+    gram_at = (2 + np.add.outer(den, den)) * width + np.add.outer(deg, deg)
+    weights = np.empty((5, powers.shape[1]))  # u v, u e, v^2, v e, e^2
+    v, e = weights[2], weights[4]
+
+    def step(p, t, u):
+        np.divide(1.0, np.abs(t) + 1.0, out=v)
+        np.multiply(np.sign(t) * -p, v * v, out=e)
+        np.multiply(u, weights[2::2], out=weights[:2])
+        np.multiply(v, e, out=weights[3])
+        np.square(weights[2::2], out=weights[2::2])
+        moments = (weights @ powers.T).ravel()
+        return moments[grad_at], moments[gram_at]
+    return step
+
+
 def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
     """Fit a safe rational of degrees (m, n) to a reference activation.
 
@@ -197,53 +226,52 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
     xs = np.linspace(cfg.interval[0], cfg.interval[1], cfg.n_points)
     ys = np.asarray(ref(xs), dtype=float)
 
-    def residual(t: np.ndarray):
-        """(residual vector, mse, the rational's Evaluation on the grid) at
-        t; (None, inf, None) where t is not finite."""
-        try:
-            rf = RationalFunction(*_unpack(t, m), SAFE)
-        except ValueError as err:
-            if str(err) != NONFINITE_COEFFICIENTS:
-                raise
-            return None, np.inf, None
-        # overflow at a trial point just means "reject the step"
-        with np.errstate(over="ignore", invalid="ignore"):
-            ev = Evaluation(rf, xs, powers)
-            r = ev.value - ys
-            # np.mean's own sum and division, without its dispatch
-            return r, float(np.add.reduce(r * r) / xs.size), ev
-
     # checked before any feature matrix is built: on an interval wide enough
     # to overflow x^j the linearized solves would only spray warnings.  A
     # finite loss also means finite targets, and eval_batch checks the grid.
-    identity_rf = RationalFunction(*_unpack(identity_start, m), SAFE)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = eval_batch(identity_rf, xs) - ys
+        r = eval_batch(RationalFunction(*_unpack(identity_start, m), SAFE), xs) - ys
         if not np.isfinite(np.mean(r * r)):
             raise ValueError("loss is not finite at the starting point")
+        # x^j as rows, j = 0..2 max(m, n): one build serves both linearized
+        # starts, every trial's P and T and every step's moments
+        powers = np.ascontiguousarray(power_matrix(xs, 2 * max(m, n) + 1).T)
+    if not np.all(np.isfinite(powers[-1])):
+        raise ValueError(f"x^{powers.shape[0] - 1} overflows on the interval")
+    moments = _moment_step(powers, m, n)
+    # rows a_0..a_m and the safe T's t_0 = 0, b_1..b_n, for x^0..x^max(m, n)
+    coef = np.zeros((2, max(m, n) + 1))
 
-    # x^j depends only on the grid: one build serves every gradient, every
-    # Jacobian and both linearized starts
-    powers = coeff_powers(identity_rf, xs)
+    def residual(theta: np.ndarray):
+        """(residual vector, mse, (P, T)) on the grid at theta; (None, inf,
+        None) where theta is not finite."""
+        if not np.isfinite(theta).all():
+            return None, np.inf, None
+        coef[0, : m + 1], coef[1, 1 : n + 1] = _unpack(theta, m)
+        # overflow at a trial point just means "reject the step"
+        with np.errstate(over="ignore", invalid="ignore"):
+            pt = coef @ powers[: coef.shape[1]]
+            r = pt[0] / (np.abs(pt[1]) + 1.0)
+            r -= ys
+            # np.mean's own sum and division, without its dispatch
+            return r, float(np.add.reduce(r * r) / xs.size), pt
 
     def descend(theta: np.ndarray, budget: int, incumbent: float):
         """LM from theta for at most `budget` trials, accepting only steps
         that lower the loss, and giving up once the loss cannot fall below
         `incumbent` (see fit); returns (theta, loss, trials, converged)."""
-        r, loss, ev = residual(theta)
+        r, loss, pt = residual(theta)
         damping = LM_DAMPING
         eye = np.eye(theta.size)
         trials = 0
         while True:
-            # the accepted trial's evaluation serves the gradient and the
-            # Jacobian, which are taken at the same theta
-            grad = np.concatenate(grad_coeffs_batch(ev, 2.0 * r / xs.size))
+            # the accepted trial's P and T serve the gradient and J^T J
+            grad, gram = moments(*pt, 2.0 * r / xs.size)
             if np.max(np.abs(grad)) <= GRAD_TOLERANCE:
                 return theta, loss, trials, True
-            jac = coeff_jacobian(ev)
             # Marquardt's damping H + lambda * diag(H), solved in the
             # diagonally scaled variables where diag(H) becomes the identity
-            hess = (2.0 / xs.size) * (jac.T @ jac)
+            hess = (2.0 / xs.size) * gram
             scale = np.sqrt(np.maximum(np.diag(hess), np.finfo(float).tiny))
             unit = hess / np.outer(scale, scale)
             while True:
@@ -252,7 +280,7 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
                 trials += 1
                 step = np.linalg.solve(unit + damping * eye, -grad / scale)
                 cand = theta + step / scale
-                cand_r, cand_loss, cand_ev = residual(cand)
+                cand_r, cand_loss, cand_pt = residual(cand)
                 if cand_loss < loss:
                     break
                 damping *= LM_FACTOR
@@ -260,7 +288,7 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
                     # no improving step exists at float resolution
                     return theta, loss, trials, True
             decrease = (loss - cand_loss) / loss
-            theta, r, loss, ev = cand, cand_r, cand_loss, cand_ev
+            theta, r, loss, pt = cand, cand_r, cand_loss, cand_pt
             damping = max(damping / LM_FACTOR, LM_DAMPING_FLOOR)
             if decrease <= STALL_TOLERANCE:
                 return theta, loss, trials, True
@@ -277,7 +305,7 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
     for w in (1.0, np.sign(xs)):
         # y*x^k can overflow where the identity start's loss does not
         with np.errstate(over="ignore", invalid="ignore"):
-            lin = np.hstack((powers[0], -(w * ys)[:, None] * powers[1]))
+            lin = np.hstack((powers[: m + 1].T, -(w * ys)[:, None] * powers[1 : n + 1].T))
         start = (np.linalg.lstsq(lin, ys, rcond=None)[0] + jitter
                  if np.all(np.isfinite(lin)) else identity_start)
         theta, loss, trials, converged = descend(

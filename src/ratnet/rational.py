@@ -6,12 +6,12 @@ b_0..b_n = t_0..t_n and evaluates Q = T; it can have real poles but admits
 exact polynomial algebra.  The safe variant stores only the free coefficients
 b_1..b_n, pins t_0 = 0 and evaluates Q = 1 + |T|, so Q >= 1 everywhere and
 training can never step onto a pole.  Its dQ/dT is sign(T), taken as 0 at the
-kink.  This module is the only one that knows these rules: every value and
-derivative of R takes one batched path, and the scalar functions wrap it.
+kink.  Every value and derivative of R takes one batched path here, and the
+scalar functions wrap it; only the fit restates the safe rule, on its grid.
 
 That path is an ``Evaluation``, R at an array x kept with the P, Q and T it
-divided: the gradients and the Jacobian take it, so backpropagation and the
-fit differentiate R without evaluating the polynomials again.
+divided: the gradients take it, so backpropagation differentiates R without
+evaluating the polynomials again.
 """
 
 from __future__ import annotations
@@ -166,11 +166,10 @@ def _check_poles(q: np.ndarray, x: np.ndarray) -> None:
 class Evaluation:
     """R at an array x of floats, kept with the P(x), Q(x) and T(x) it
     divided: reverse mode's tape for one rational site.  A raw Q is checked
-    for poles here.  ``dq`` and ``powers`` are computed on first use and
-    kept; a caller that built ``coeff_powers(rf, ravel(x))`` passes it.
+    for poles here.  ``dq`` and ``powers`` are kept after their first use.
     """
 
-    def __init__(self, rf: RationalFunction, x: np.ndarray, powers=None):
+    def __init__(self, rf: RationalFunction, x: np.ndarray):
         self.rf = rf
         self.x = x
         # the safe T is x * (b_1 + ... + b_n x^(n-1)): its zero t_0 costs nothing
@@ -184,8 +183,6 @@ class Evaluation:
             self.q += 1.0
         self.p = polyval(rf.numerator, x)
         self.value = self.p / self.q
-        if powers is not None:
-            self.powers = powers
 
     @cached_property
     def dq(self):
@@ -245,26 +242,6 @@ def coeff_powers(rf: RationalFunction, x: np.ndarray):
     return v[:, :rf.m + 1], v[:, n + 1 - rf.denominator.size:n + 1]
 
 
-def coeff_jacobian(ev: Evaluation) -> np.ndarray:
-    """Jacobian dR(x_i)/dtheta_j at an evaluation over a flat x, column-major.
-
-    The columns are the numerator's coefficients, then the stored
-    denominator's.  Each column is filled as one contiguous row of J^T, and
-    J is returned as that array's transpose, so it is Fortran-ordered.  The
-    power matrix depends only on x and the degrees, so a caller
-    differentiating many coefficient vectors on one grid builds it once and
-    hands it to each ``Evaluation``.
-    """
-    num_powers, den_powers = ev.powers
-    p, q = ev.p, ev.q
-    d_den = -p * ev.dq / (q * q)
-    k = num_powers.shape[1]
-    jac_t = np.empty((k + den_powers.shape[1], q.size))
-    np.divide(num_powers.T, q, out=jac_t[:k])
-    np.multiply(den_powers.T, d_den, out=jac_t[k:])
-    return jac_t.T
-
-
 def grad_coeffs_batch(ev: Evaluation, upstream: np.ndarray):
     """Accumulated coefficient gradients sum_i upstream_i * dR/dtheta(x_i).
 
@@ -280,11 +257,6 @@ def grad_coeffs_batch(ev: Evaluation, upstream: np.ndarray):
     p, q, dq = np.ravel(ev.p), np.ravel(ev.q), np.ravel(ev.dq)
     num_powers, den_powers = ev.powers
     return (u / q) @ num_powers, (-u * p * dq / q**2) @ den_powers
-
-
-def evaluate(rf: RationalFunction, x: float) -> float:
-    """R(x) at a single point.  Raises PoleError when a raw Q(x) is zero."""
-    return float(eval_batch(rf, float(x)))
 
 
 def grad_input(rf: RationalFunction, x: float) -> float:

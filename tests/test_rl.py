@@ -280,7 +280,8 @@ class TestDqnTrain:
     # sha256 of the trained net's JSON (histograms included) plus the greedy
     # curve.  The target table, the replay columns and the greedy memo only
     # skip repeated work, so every trained number must stay bitwise equal;
-    # a BLAS whose gemm rows depend on the batch's row count would move these
+    # a BLAS whose gemm rows depend on the batch's row count would move these.
+    # 6x6_lrelu_init also pins the bits of its lrelu init fit
     GOLDEN = {
         "5x5_rational": (
             dict(), [64, 64], "rational", "identity", 0,
@@ -301,7 +302,7 @@ class TestDqnTrain:
         "6x6_lrelu_init": (
             dict(width=6, height=6, goal=(5, 5)), [32, 32], "rational", "lrelu", 3,
             dict(train_steps=1000, initial_fill=200, eval_freq=250, seed=3),
-            "a2872fa878d363d438a4b442c34029782eb3abd2cc7f12596f0af6122801d729"),
+            "1505accfcb07bb6f525c7bedab5fb93b6a7d127a196046c3753e888e2c996f8e"),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -147,6 +147,9 @@ def test_bench_pairs_smoke(monkeypatch, capsys, tmp_path):
     assert any(line.endswith("[claimed]") for line in lines)
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert doc["parent"] == commit
+    # each side's BLAS thread count, or null where it cannot be read
+    assert set(doc["blas_threads"]) == {"parent", "change"}
+    assert all(n is None or n >= 1 for n in doc["blas_threads"].values())
     assert all(r["seconds"] == 0.05 for r in doc["runs"])
     assert [r["side"] for r in doc["runs"]] == ["parent", "change", "change", "parent",
                                                "parent", "change"]
