@@ -183,7 +183,6 @@ class TestGradCoeffs:
         np.testing.assert_allclose(d_den, ref_den, rtol=1e-12, atol=1e-12)
 
 
-
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
