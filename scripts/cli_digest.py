@@ -21,7 +21,7 @@ are skipped; `tests/cli_digest.txt` starts with the `versions()` line, since
 the bits can move with numpy or the BLAS.
 
     python scripts/cli_digest.py
-    python scripts/cli_digest.py "fit --ref tanh --seed 1" "rl --steps 300"
+    python scripts/cli_digest.py "fit --ref tanh --seed 1" "rl --steps 600"
     python scripts/cli_digest.py > digest.txt   # on the base checkout
     python scripts/cli_digest.py --check digest.txt   # on the changed one
 
@@ -52,12 +52,12 @@ INVOCATIONS = (
     "distance --f1 sigmoid --f2 tanh --seed 5 --quad-points 301",
     "absorb --rf {tmp}/ident.json",
     "train --dataset blobs --samples 20 --hidden 4 --epochs 3 --seed 5",
-    "rl --activation shared-rational --steps 300 --seed 5",
+    "rl --activation shared-rational --steps 600 --seed 5",
     "profile --rf {tmp}/ident.json --points 21",
     "fit --ref lrelu --m 3 --n 2 --seed 7 --max-iters 300",
     "distance --f1 sigmoid --f2 tanh --seed 7 --quad-points 301",
     "train --dataset blobs --samples 20 --hidden 4 --epochs 3 --seed 7",
-    "rl --activation shared-rational --steps 300 --seed 7",
+    "rl --activation shared-rational --steps 600 --seed 7",
     "fit --seed 0",
     "fit --ref silu --seed 3",
     "fit --ref sigmoid --seed 3",

@@ -235,7 +235,7 @@ def fit(m: int, n: int, ref, cfg: FitConfig | None = None):
             raise ValueError("loss is not finite at the starting point")
         # x^j as rows, j = 0..2 max(m, n): one build serves both linearized
         # starts, every trial's P and T and every step's moments
-        powers = np.ascontiguousarray(power_matrix(xs, 2 * max(m, n) + 1).T)
+        powers = power_matrix(xs, 2 * max(m, n) + 1)
     if not np.all(np.isfinite(powers[-1])):
         raise ValueError(f"x^{powers.shape[0] - 1} overflows on the interval")
     moments = _moment_step(powers, m, n)

@@ -74,9 +74,11 @@ class ActivationSlot:
             return ev.value, ev
         return self.activation(z), None
 
-    def input_grad(self, z: np.ndarray, ev: Evaluation | None = None) -> np.ndarray:
+    def input_grad(self, z: np.ndarray, ev: Evaluation | None) -> np.ndarray:
+        """dActivation/dz at z; a rational reads ``ev``, the Evaluation that
+        ``apply`` returned for the same z, and a fixed activation takes None."""
         if self.trainable:
-            return grad_input_batch(Evaluation(self.activation, z) if ev is None else ev)
+            return grad_input_batch(ev)
         if self.activation.grad is None:
             raise ValueError(f"slot {self.slot_id!r} has no derivative; "
                              "it cannot be trained through")
@@ -248,8 +250,8 @@ def backward(net: NetworkSpec, cache: ForwardCache, loss_grad) -> Gradients:
     which is the standard weight-sharing rule.
 
     Each rational site's gradients read the Evaluation that forward kept,
-    so the polynomials are not evaluated again and dQ/dT is taken once per
-    site for both gradients.  A cache
+    so the polynomials are not evaluated again: the site's power table and
+    partials dR/dP, dR/dT are built once and serve both gradients.  A cache
     is stale, and raises, once an optimizer step ran or a slot's activation
     was replaced since forward; coefficients edited in place are not
     detected.

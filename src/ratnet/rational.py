@@ -10,8 +10,13 @@ kink.  Every value and derivative of R takes one batched path here, and the
 scalar functions wrap it; only the fit restates the safe rule, on its grid.
 
 That path is an ``Evaluation``, R at an array x kept with the P, Q and T it
-divided: the gradients take it, so backpropagation differentiates R without
-evaluating the polynomials again.
+divided: reverse mode's tape for one site.  The forward is Horner and keeps
+only those.  The first gradient taken from the record adds two arrays to the
+tape: the row-major power table x^0..x^(K-1), K = max(m, n) + 1, and the
+partials dR/dP = 1/Q and dR/dT = -R dQ/dT / Q.  Both gradients are then
+products with the table: the coefficient gradient sums the upstream-weighted
+partials against it, and dR/dx takes P' and T' from it and weights them by
+the partials.  So backpropagation never evaluates the polynomials again.
 """
 
 from __future__ import annotations
@@ -52,13 +57,6 @@ def polyval(coeffs: np.ndarray, x):
         np.multiply(result, x, out=result)
         np.add(result, c, out=result)
     return result
-
-
-def polyder(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative polynomial."""
-    if len(coeffs) <= 1:
-        return np.zeros(1)
-    return coeffs[1:] * np.arange(1, len(coeffs), dtype=float)
 
 
 @dataclass
@@ -166,7 +164,8 @@ def _check_poles(q: np.ndarray, x: np.ndarray) -> None:
 class Evaluation:
     """R at an array x of floats, kept with the P(x), Q(x) and T(x) it
     divided: reverse mode's tape for one rational site.  A raw Q is checked
-    for poles here.  ``dq`` and ``powers`` are kept after their first use.
+    for poles here.  ``powers`` and ``partials`` are built on first use, by
+    the gradients, and kept.
     """
 
     def __init__(self, rf: RationalFunction, x: np.ndarray):
@@ -185,14 +184,25 @@ class Evaluation:
         self.value = self.p / self.q
 
     @cached_property
-    def dq(self):
-        """dQ/dT: 1 raw, sign(T) safe, taking the subgradient 0 at T = 0."""
-        return 1.0 if self.rf.variant == RAW else np.sign(self.t)
+    def powers(self) -> np.ndarray:
+        """``power_matrix`` of the flat x up to x^max(m, n): (K, N)."""
+        return power_matrix(np.ravel(self.x), max(self.rf.m, self.rf.n) + 1)
 
     @cached_property
-    def powers(self):
-        """``coeff_powers`` over the flattened x."""
-        return coeff_powers(self.rf, np.ravel(self.x))
+    def partials(self) -> np.ndarray:
+        """(2, N) rows dR/dP = 1/Q and dR/dT = -R dQ/dT / Q over the flat x."""
+        d = np.empty((2, np.size(self.x)))
+        inv_q, d_t = d
+        np.divide(1.0, self.q.reshape(-1), out=inv_q)
+        # -dQ/dT: -1 raw, -sign(T) safe, taking the subgradient 0 at T = 0
+        if self.rf.variant == RAW:
+            d_t.fill(-1.0)
+        else:
+            np.sign(self.t.reshape(-1), out=d_t)
+            np.negative(d_t, out=d_t)
+        d_t *= self.value.reshape(-1)
+        d_t *= inv_q
+        return d
 
 
 def eval_batch(rf: RationalFunction, xs) -> np.ndarray:
@@ -206,40 +216,45 @@ def eval_batch(rf: RationalFunction, xs) -> np.ndarray:
     return Evaluation(rf, x).value
 
 
-def grad_input_batch(ev: Evaluation) -> np.ndarray:
-    """Elementwise dR/dx by the quotient rule, with dQ/dx = dQ/dT * T'(x).
-
-    At the safe variant's kink (T exactly zero) the subgradient 0 is used
-    for d|T|/dT, so the denominator contributes nothing there.
-    """
-    rf, x, p, q = ev.rf, ev.x, ev.p, ev.q
-    dq = ev.dq * polyval(polyder(inner_poly(rf)), x)
-    return (polyval(polyder(rf.numerator), x) * q - p * dq) / (q * q)
-
-
 def power_matrix(x: np.ndarray, k: int) -> np.ndarray:
-    """x_i^j for j = 0..k-1 over a flat x, one column per power.
+    """x_i^j for j = 0..k-1 over a flat x: a row-major (k, N) table, one row
+    per power.
 
-    Each column is the previous one times x, the same products in the same
-    order as np.vander(x, k, increasing=True), so the two are bitwise equal.
+    Each row is the previous one times x, the same products in the same
+    order as np.vander(x, k, increasing=True), so the two are bitwise equal
+    up to the transpose.
     """
-    v = np.empty((x.size, k))
+    v = np.empty((k, x.size))
     if k:
-        v[:, 0] = 1.0
+        v[0] = 1.0
     for j in range(1, k):
-        np.multiply(v[:, j - 1], x, out=v[:, j])
+        np.multiply(v[j - 1], x, out=v[j])
     return v
 
 
-def coeff_powers(rf: RationalFunction, x: np.ndarray):
-    """Power matrices x_i^j over a flat x, one column per coefficient.
+def _stored_t(rf: RationalFunction) -> slice:
+    """The powers of T that the stored denominator holds: t_0..t_n raw,
+    t_1..t_n safe."""
+    first = 0 if rf.variant == RAW else 1
+    return slice(first, first + rf.denominator.size)
 
-    The numerator's columns are j = 0..m.  The denominator's are the stored
-    ones: j = 0..n raw, j = 1..n safe.  Both are slices of one power matrix.
+
+def grad_input_batch(ev: Evaluation) -> np.ndarray:
+    """Elementwise dR/dx = P'(x) dR/dP + T'(x) dR/dT, with x's shape.
+
+    P' and T' are one product of their coefficients with the record's power
+    table.  At the safe variant's kink (T exactly zero) the subgradient 0 is
+    used for d|T|/dT, so the denominator contributes nothing there.
     """
-    n = rf.n
-    v = power_matrix(x, max(rf.m, n) + 1)
-    return v[:, :rf.m + 1], v[:, n + 1 - rf.denominator.size:n + 1]
+    rf, powers = ev.rf, ev.powers
+    k = powers.shape[0]
+    coef = np.zeros((2, k))
+    coef[0, :rf.m + 1] = rf.numerator
+    coef[1, _stored_t(rf)] = rf.denominator
+    # P' and T' as rows, from the derivative coefficients j c_j, j = 1..k-1
+    slopes = (coef[:, 1:] * np.arange(1, k)) @ powers[:k - 1]
+    slopes *= ev.partials
+    return np.add(slopes[0], slopes[1]).reshape(np.shape(ev.x))
 
 
 def grad_coeffs_batch(ev: Evaluation, upstream: np.ndarray):
@@ -249,14 +264,14 @@ def grad_coeffs_batch(ev: Evaluation, upstream: np.ndarray):
     yields the loss gradient for every stored coefficient in one pass.
     Returns (d/da_j for j=0..m, d/db_k) where the denominator vector matches
     the variant's stored layout (k=0..n raw, k=1..n safe).  ``upstream``
-    holds one entry per element of ev.x, in any shape.
+    holds one entry per element of ev.x, in any shape.  Both come from one
+    product of the upstream-weighted partials with the power table.
     """
     u = np.ravel(np.asarray(upstream, dtype=float))
     if u.size != np.size(ev.x):
         raise ValueError("upstream needs one entry per element of ev.x")
-    p, q, dq = np.ravel(ev.p), np.ravel(ev.q), np.ravel(ev.dq)
-    num_powers, den_powers = ev.powers
-    return (u / q) @ num_powers, (-u * p * dq / q**2) @ den_powers
+    grads = (ev.partials * u) @ ev.powers.T
+    return grads[0, :ev.rf.m + 1], grads[1, _stored_t(ev.rf)]
 
 
 def grad_input(rf: RationalFunction, x: float) -> float:

@@ -238,6 +238,10 @@ class DqnConfig:
             raise ValueError("learning_rate must be positive and finite")
         if self.train_steps < 0:
             raise ValueError("train_steps must be >= 0")
+        # the first update waits for initial_fill transitions
+        if 0 < self.train_steps < self.initial_fill:
+            raise ValueError(f"train_steps must be 0 or >= initial_fill "
+                             f"({self.initial_fill}): a shorter run never updates")
         if self.target_update_freq < 1 or self.eval_freq < 1:
             raise ValueError("target_update_freq and eval_freq must be >= 1")
 

@@ -409,7 +409,7 @@ def test_11_cli_determinism(tmp_path, capsys):
         ("absorb", "--rf", None),  # placeholder filled below
         ("train", "--dataset", "blobs", "--samples", "20", "--hidden", "4",
          "--epochs", "3", "--seed", "5"),
-        ("rl", "--activation", "shared-rational", "--steps", "300", "--seed", "5"),
+        ("rl", "--activation", "shared-rational", "--steps", "600", "--seed", "5"),
         ("profile", "--rf", None, "--points", "21"),
     ]
     rf_path = tmp_path / "ident.json"

@@ -146,7 +146,7 @@ class TestRlCommand:
     def test_short_run_emits_curve_and_scores(self, tmp_path, capsys):
         out = tmp_path / "rl"
         code, result = run_cli(capsys, "rl", "--activation", "lrelu",
-                               "--steps", "400", "--seed", "0",
+                               "--steps", "600", "--seed", "0",
                                "--out", str(out))
         assert code == 0
         assert "curve" in result and "normalized" in result
@@ -231,7 +231,7 @@ class TestDeterminism:
          "--quad-points", "301"),
         ("train", "--dataset", "blobs", "--samples", "20", "--hidden", "4",
          "--epochs", "3", "--seed", "7"),
-        ("rl", "--activation", "shared-rational", "--steps", "300",
+        ("rl", "--activation", "shared-rational", "--steps", "600",
          "--seed", "7"),
     ])
     def test_repeated_runs_byte_identical(self, tmp_path, capsys, argv):

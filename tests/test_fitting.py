@@ -236,8 +236,8 @@ class TestFit:
         jac = np.column_stack([xs**j / q for j in range(m + 1)]
                               + [xs**k * e for k in range(1, n + 1)])
         u = rng.normal(size=xs.size)
-        powers = np.ascontiguousarray(power_matrix(xs, 2 * max(m, n) + 1).T)
-        grad, gram = fitting._moment_step(powers, m, n)(p, t, u)
+        grad, gram = fitting._moment_step(power_matrix(xs, 2 * max(m, n) + 1),
+                                          m, n)(p, t, u)
         np.testing.assert_allclose(grad, jac.T @ u, rtol=1e-12)
         np.testing.assert_allclose(gram, jac.T @ jac, rtol=1e-12)
 

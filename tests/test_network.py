@@ -103,7 +103,7 @@ class TestSlots:
         assert slot.activation is ref
         assert not slot.trainable
         z = rng.normal(size=(4, 5))
-        assert np.array_equal(slot.input_grad(z), ref.grad(z))
+        assert np.array_equal(slot.input_grad(z, None), ref.grad(z))
         value, parts = slot.apply(z)
         assert np.array_equal(value, ref(z)) and parts is None
 

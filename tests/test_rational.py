@@ -9,9 +9,9 @@ from ratnet import fitting, rational
 from ratnet.network import ActivationSlot
 from ratnet.fitting import ReferenceActivation
 from ratnet.rational import (RAW, SAFE, Evaluation, PoleError, RationalFunction,
-                             coeff_powers, eval_batch, grad_coeffs,
-                             grad_coeffs_batch, grad_input, grad_input_batch,
-                             init_identity, polyval, power_matrix)
+                             eval_batch, grad_coeffs, grad_coeffs_batch,
+                             grad_input, grad_input_batch, init_identity,
+                             polyval, power_matrix)
 
 from conftest import central_diff, random_rational
 
@@ -183,6 +183,119 @@ class TestGradCoeffs:
         np.testing.assert_allclose(d_den, ref_den, rtol=1e-12, atol=1e-12)
 
 
+def _horner_grads(rf, x, u):
+    """dR/dx at x and the coefficient gradients weighted by u, by the
+    quotient rule with P, T, P' and T' each from its own Horner pass and one
+    np.vander column per coefficient."""
+    t_coef = (rf.denominator if rf.variant == RAW
+              else np.concatenate(([0.0], rf.denominator)))
+    p, t = polyval(rf.numerator, x), polyval(t_coef, x)
+    q = t if rf.variant == RAW else 1.0 + np.abs(t)
+    dq = 1.0 if rf.variant == RAW else np.sign(t)
+    dp = polyval(rf.numerator[1:] * np.arange(1, rf.numerator.size), x)
+    dt = polyval(t_coef[1:] * np.arange(1, t_coef.size), x)
+    d_x = (dp * q - p * dq * dt) / (q * q)
+    # the scale of the quotient rule's two terms, for a rounding allowance
+    scale = np.abs(dp / q) + np.abs(p * dt / (q * q))
+    flat = [np.ravel(a) for a in np.broadcast_arrays(x, u, p, q, dq)]
+    xf, uf, pf, qf, dqf = flat
+    vander = np.vander(xf, max(rf.numerator.size, t_coef.size), increasing=True)
+    d_num = (uf / qf) @ vander[:, :rf.numerator.size]
+    d_den = (-uf * pf * dqf / qf**2) @ vander[:, t_coef.size - rf.denominator.size:t_coef.size]
+    return d_x, scale, d_num, d_den
+
+
+class TestBackwardOracles:
+    """Both gradients, from the power table and the partials, against the
+    quotient rule by Horner and against central differences."""
+
+    H = 1e-5
+
+    @staticmethod
+    def _case(variant, m, n):
+        rng = np.random.default_rng(100 * m + 10 * n + (variant == RAW))
+        rf = random_rational(rng, m, n, variant)
+        if variant == RAW and n:
+            rf.denominator[0] -= polyval(rf.denominator, 1.3)  # a pole at 1.3
+        x = rng.uniform(-3.0, 3.0, size=(7, 30))
+        x[0, 0] = 0.0  # the safe T is exactly 0 there: the kink
+        x[3, 4] = -0.0
+        return rf, x, rng.normal(size=x.shape)
+
+    def _smooth(self, rf, x):
+        """Points where R is smooth over [x - h, x + h]: the safe T keeps its
+        nonzero sign, and a raw Q stays away from its poles."""
+        lo, t, hi = (Evaluation(rf, x + d).t for d in (-self.H, 0.0, self.H))
+        if rf.variant == RAW:
+            return np.abs(t) > 0.1
+        if rf.denominator.size == 0:
+            return np.ones(x.shape, dtype=bool)
+        return (t != 0.0) & (np.sign(lo) == np.sign(t)) & (np.sign(hi) == np.sign(t))
+
+    @pytest.mark.parametrize("variant", [SAFE, RAW])
+    @pytest.mark.parametrize("m, n", [(5, 4), (3, 2), (1, 0), (0, 0)])
+    def test_matches_horner_quotient_rule(self, variant, m, n):
+        rf, x, u = self._case(variant, m, n)
+        ev = Evaluation(rf, x)
+        if n:
+            assert np.any(ev.t > 0) and np.any(ev.t < 0)
+        d_x, scale, d_num, d_den = _horner_grads(rf, x, u)
+        got_num, got_den = grad_coeffs_batch(ev, u)
+        np.testing.assert_allclose(got_num, d_num, rtol=1e-12)
+        np.testing.assert_allclose(got_den, d_den, rtol=1e-12)
+        got_x = grad_input_batch(ev)
+        assert got_x.shape == x.shape
+        # elementwise: where the two terms cancel, the rounding allowance is
+        # relative to the terms rather than to their difference
+        np.testing.assert_allclose(got_x, d_x, rtol=1e-12, atol=1e-14 * scale.max())
+        if variant == SAFE:
+            # at the kink dQ/dT = 0: dR/dx is P'(0) / Q(0) = a_1
+            a_1 = rf.numerator[1] if m else 0.0
+            assert got_x[0, 0] == a_1 and got_x[3, 4] == a_1
+        # a 0-d x, through the scalar wrappers and the batch path
+        for x0 in (0.0, 1.7, -2.3):
+            want_x, _, want_num, want_den = _horner_grads(rf, np.asarray(x0), 1.0)
+            assert grad_input(rf, x0) == pytest.approx(float(want_x), rel=1e-12, abs=1e-14)
+            ev0 = Evaluation(rf, np.asarray(x0))
+            assert grad_input_batch(ev0).shape == ()
+            for got, want in zip(grad_coeffs_batch(ev0, 1.0), (want_num, want_den)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+            for got, want in zip(grad_coeffs(rf, x0), (want_num, want_den)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("variant", [SAFE, RAW])
+    @pytest.mark.parametrize("m, n", [(5, 4), (3, 2), (1, 0), (0, 0)])
+    def test_matches_central_differences(self, variant, m, n):
+        rf, x, u = self._case(variant, m, n)
+        smooth = self._smooth(rf, x)
+        assert smooth.sum() >= 150
+        u = np.where(smooth, u, 0.0)
+        ev = Evaluation(rf, x)
+        got_x = grad_input_batch(ev)
+        want_x = central_diff(lambda v: eval_batch(rf, v), x, self.H)
+        np.testing.assert_allclose(got_x[smooth], want_x[smooth], rtol=1e-5, atol=1e-8)
+
+        def loss(num, den):
+            return float(np.sum(u * eval_batch(RationalFunction(num, den, variant), x)))
+
+        got_num, got_den = grad_coeffs_batch(ev, u)
+        atol = 1e-7 * np.abs(u).sum()
+        for j in range(rf.numerator.size):
+            def f(v, j=j):
+                num = rf.numerator.copy()
+                num[j] = v
+                return loss(num, rf.denominator)
+            assert got_num[j] == pytest.approx(
+                central_diff(f, rf.numerator[j], self.H), rel=1e-5, abs=atol)
+        for k in range(rf.denominator.size):
+            def f(v, k=k):
+                den = rf.denominator.copy()
+                den[k] = v
+                return loss(rf.numerator, den)
+            assert got_den[k] == pytest.approx(
+                central_diff(f, rf.denominator[k], self.H), rel=1e-5, abs=atol)
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -227,12 +340,14 @@ class TestPowerMatrix:
         with np.errstate(over="ignore"):
             got = power_matrix(x, k)
             want = np.vander(x, k, increasing=True)
-        assert _same_bits(got, want)
+        # one row per power, each row contiguous
+        assert got.flags.c_contiguous
+        assert _same_bits(got, want.T)
 
 
 class TestForwardParts:
-    """Gradients read from forward's Evaluation, whose dQ/dT and power
-    matrix are kept after their first use, are the gradients from a fresh
+    """Gradients read from forward's Evaluation, whose power table and
+    partials are kept after their first use, are the gradients from a fresh
     record, bit for bit."""
 
     @pytest.mark.parametrize("variant", [RAW, SAFE])
@@ -242,7 +357,8 @@ class TestForwardParts:
         u = rng.normal(size=(32, 16))
         ev = Evaluation(rf, z)
         assert _same_bits(ev.value, eval_batch(rf, z))
-        # the first reads fill the record's dq and powers; the second reuse them
+        # the first reads fill the record's powers and partials; the second
+        # reuse them
         for _ in range(2):
             for got, want in zip(grad_coeffs_batch(ev, u),
                                  grad_coeffs_batch(Evaluation(rf, z), u)):
@@ -251,29 +367,41 @@ class TestForwardParts:
         slot = ActivationSlot("r", rf)
         value, slot_ev = slot.apply(z)
         assert _same_bits(value, rf(z))
-        assert _same_bits(slot.input_grad(z, slot_ev), slot.input_grad(z))
-        assert _same_bits(slot.input_grad(z, ev), slot.input_grad(z))
+        assert _same_bits(slot.input_grad(z, slot_ev),
+                          grad_input_batch(Evaluation(rf, z)))
+        assert _same_bits(slot.input_grad(z, ev), slot.input_grad(z, slot_ev))
         # a flat x, with and without a denominator
         for n in (0, 3):
             rf = random_rational(rng, 5, n, variant)
             x = rng.normal(size=64)
             u = rng.normal(size=64)
             ev = Evaluation(rf, x)
-            p, q, dq = ev.p, ev.q, ev.dq
-            powers = coeff_powers(rf, x)
-            assert _same_bits(ev.powers[0], powers[0])
-            assert _same_bits(ev.powers[1], powers[1])
-            for got, want in zip(grad_coeffs_batch(ev, u),
-                                 (u / q @ powers[0], -u * p * dq / q**2 @ powers[1])):
+            powers = power_matrix(x, 6)
+            assert _same_bits(ev.powers, powers)
+            dq = 1.0 if variant == RAW else np.sign(ev.t)
+            partials = np.array([1.0 / ev.q, -dq * ev.value * (1.0 / ev.q)])
+            assert _same_bits(ev.partials, partials)
+            grads = (partials * u) @ powers.T
+            den = slice(0, n + 1) if variant == RAW else slice(1, n + 1)
+            for got, want in zip(grad_coeffs_batch(ev, u), (grads[0], grads[1, den])):
                 assert _same_bits(got, want)
+            coef = np.zeros((2, 6))
+            coef[0], coef[1, den] = rf.numerator, rf.denominator
+            slopes = (coef[:, 1:] * np.arange(1.0, 6.0)) @ powers[:5] * partials
+            assert _same_bits(grad_input_batch(ev), slopes[0] + slopes[1])
 
     @pytest.mark.parametrize("variant", [RAW, SAFE])
-    def test_record_computes_dq_and_powers_once(self, rng, variant):
+    def test_record_computes_partials_and_powers_once(self, rng, variant):
         rf = random_rational(rng, 5, 4, variant)
         x = rng.normal(size=64)
         ev = Evaluation(rf, x)
-        assert ev.dq is ev.dq
+        # forward keeps only x, P, Q, T and the value: the tape grows on the
+        # first gradient
+        assert "powers" not in vars(ev) and "partials" not in vars(ev)
+        grad_coeffs_batch(ev, np.ones(64))
+        assert ev.partials is ev.partials
         assert ev.powers is ev.powers
+        assert ev.powers.shape == (6, 64) and ev.partials.shape == (2, 64)
         assert _same_bits(ev.value, ev.p / ev.q)
         with pytest.raises(ValueError, match="upstream"):
             grad_coeffs_batch(ev, np.ones(63))
@@ -282,15 +410,18 @@ class TestForwardParts:
         calls = []
 
         def counted(x, k):
-            calls.append(k)
-            return power_matrix(x, k)
+            table = power_matrix(x, k)
+            calls.append(table.shape)
+            return table
 
         # under either name, so a call through rational counts as well
         monkeypatch.setattr(rational, "power_matrix", counted)
         monkeypatch.setattr(fitting, "power_matrix", counted)
         _, report = fitting.fit(5, 4, ReferenceActivation("lrelu"))
         assert report.iterations > 1
-        assert calls == [11]  # x^0..x^10, what the (5, 4) moments need
+        # x^0..x^10 over the 1000-point grid, what the (5, 4) moments need,
+        # as the row-major table the moments and trials read
+        assert calls == [(11, 1000)]
 
 
 def _den_parts(rf, x):

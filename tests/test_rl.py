@@ -150,6 +150,13 @@ class TestDqnConfig:
     def test_zero_steps_allowed(self):
         assert DqnConfig(train_steps=0).train_steps == 0
 
+    @pytest.mark.parametrize("steps", [1, 300, 499])
+    def test_rejects_runs_that_never_update(self, steps):
+        with pytest.raises(ValueError, match="train_steps must be 0 or >= initial_fill"):
+            DqnConfig(train_steps=steps)
+        assert DqnConfig(train_steps=steps, initial_fill=steps).train_steps == steps
+        assert DqnConfig(train_steps=500).initial_fill == 500
+
 
 class TestEpsilonSchedule:
     def test_endpoints(self):
@@ -286,13 +293,13 @@ class TestDqnTrain:
         "5x5_rational": (
             dict(), [64, 64], "rational", "identity", 0,
             dict(train_steps=1500, eval_freq=500, seed=0),
-            "cca15628f292b8df4407b9829281e67438be236e29b04984cbd55d9a10dd6cce"),
+            "6980d0eaafb120368d9aeb69fae9353874d8f12a131df8d2665df31684cfc2a2"),
         "3x4_walls_shared": (
             dict(width=3, height=4, goal=(2, 3), walls=frozenset({(1, 1)})),
             [16, 16], "shared-rational", "identity", 1,
             dict(train_steps=1200, initial_fill=100, target_update_freq=100,
                  eval_freq=300, seed=1),
-            "3edc153f32d089831a2e11994def4fb2d61526afa01f47c7a0e096ba64f05797"),
+            "2c12a21e78fa5081fcaf86b1894e8b7e31c0dbc917befcf7179ad10a8c1b9b51"),
         "2x2_fixed_lrelu": (
             dict(width=2, height=2, goal=(1, 1), max_steps=20), [8], "lrelu",
             "identity", 2,
@@ -302,7 +309,7 @@ class TestDqnTrain:
         "6x6_lrelu_init": (
             dict(width=6, height=6, goal=(5, 5)), [32, 32], "rational", "lrelu", 3,
             dict(train_steps=1000, initial_fill=200, eval_freq=250, seed=3),
-            "1505accfcb07bb6f525c7bedab5fb93b6a7d127a196046c3753e888e2c996f8e"),
+            "1a9b2dc733e1dd9522795f3d232d22ec6ea90915a6437eebf9bd85793219831d"),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -348,8 +355,8 @@ class TestDqnTrain:
     def test_wrong_network_shape_rejected(self):
         env = GridWorld()
         net = build_dense_network([3, 8, env.n_actions], seed=0, init="identity")
-        with pytest.raises(ValueError):
-            dqn_train(env, net, DqnConfig(train_steps=10))
+        with pytest.raises(ValueError, match="Q-network must map 25 state features"):
+            dqn_train(env, net, DqnConfig(train_steps=10, initial_fill=10))
 
     def test_random_policy_is_reproducible(self):
         env = GridWorld()

@@ -34,7 +34,7 @@ def test_fit_reference_profiles(monkeypatch, capsys, tmp_path):
 
 def test_gridworld_dqn(monkeypatch, capsys):
     run_script(monkeypatch, "gridworld_dqn.py", "--activations", "rational,lrelu",
-               "--steps", "50")
+               "--steps", "600")
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("value-iteration optimum 2.00, random policy ")
     assert lines[1] == ""
