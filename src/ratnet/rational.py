@@ -11,12 +11,9 @@ scalar functions wrap it; only the fit restates the safe rule, on its grid.
 
 That path is an ``Evaluation``, R at an array x kept with the P, Q and T it
 divided: reverse mode's tape for one site.  The forward is Horner and keeps
-only those.  The first gradient taken from the record adds two arrays to the
-tape: the row-major power table x^0..x^(K-1), K = max(m, n) + 1, and the
-partials dR/dP = 1/Q and dR/dT = -R dQ/dT / Q.  Both gradients are then
-products with the table: the coefficient gradient sums the upstream-weighted
-partials against it, and dR/dx takes P' and T' from it and weights them by
-the partials.  So backpropagation never evaluates the polynomials again.
+only those.  The first gradient adds the power table x^0..x^max(m, n) and
+the partials dR/dP, dR/dT to the tape, and both gradients are products with
+the table, so backpropagation never evaluates the polynomials again.
 """
 
 from __future__ import annotations

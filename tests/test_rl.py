@@ -155,7 +155,7 @@ class TestDqnConfig:
         with pytest.raises(ValueError, match="train_steps must be 0 or >= initial_fill"):
             DqnConfig(train_steps=steps)
         assert DqnConfig(train_steps=steps, initial_fill=steps).train_steps == steps
-        assert DqnConfig(train_steps=500).initial_fill == 500
+        assert DqnConfig(train_steps=500).train_steps == 500
 
 
 class TestEpsilonSchedule:
